@@ -27,21 +27,33 @@ Reproducibility contract:
 * Events are enumerated in the canonical order activate(1..m),
   deactivate(1..m), return(1..m), withdraw(1..m), then in full mode
   death_s(1..m), death_a(1..m), death_d(1..m), birth(1..m), and finally
-  no_event. Each epoch consumes exactly one uniform double from the
+  no_event. Each epoch consumes exactly one uniform double u from the
   replica's generator and selects the event by cumulative probability in
-  that order.
+  that order: with q the running sums of the event probabilities, event
+  k fires iff q[k-1] <= u < q[k] (q[-1] read as 0 for the first event),
+  and no event fires iff u >= q[last]. This is
+  ``np.searchsorted(q, u, side="right")``, so an event of probability 0
+  never fires, not even for u = 0.
 * Replica r of an ensemble owns numpy's PCG64 seeded with
   derive_replica_seed(seed, r): the SplitMix64 finalizer applied to
   (seed + (r + 1) * 0x9E3779B97F4A7C15) mod 2^64.
-* Ensemble reductions run over fixed-size replica chunks combined in
-  index order, so results are independent of the thread count.
+* Ensemble reductions are exact integer sums over fixed chunks of 256
+  replicas, combined in index order.
+
+Replicas are advanced by event-driven replay rather than epoch by epoch.
+Between events the state, and with it q, is constant, so the next event
+is at the first epoch j whose uniform satisfies u_j < q[last]. Replay
+scans each replica's block of pre-drawn uniforms for that epoch, applies
+the event selected by u_j, and resumes at j + 1. It consumes the same
+stream, one uniform per epoch, as a per-epoch stepper, and so yields the
+same chain bit for bit at a cost that grows with the events rather than
+the epochs.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -78,13 +90,12 @@ FULL = "full"
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
-# ensembles are simulated in fixed chunks of this many replicas; the chunk
-# size is part of the reproducibility contract (results are reduced in
-# chunk order, never in thread-completion order)
+# ensembles are simulated in fixed chunks of this many replicas, reduced
+# in chunk order
 _CHUNK_REPLICAS = 256
-# per-block uniform buffer budget, in doubles
-_UNIFORM_BUDGET = 8_000_000
-_BLOCK_EPOCH_CAP = 4096
+# uniforms drawn per replica at a time; draws in blocks concatenate to
+# the same stream, so the block size never changes the chain
+_REPLAY_BLOCK = 256
 
 
 def derive_replica_seed(seed: int, index: int) -> int:
@@ -217,7 +228,7 @@ def _delta_tables(m: int, mode: str) -> np.ndarray:
 
 
 class _Engine:
-    """Vectorized one-epoch stepper over a batch of replicas."""
+    """Per-event probability tables for a batch of replicas."""
 
     def __init__(self, params: ModelParams, mode: str, dt: float, logistic: LogisticConfig | None):
         _check_mode(mode)
@@ -298,31 +309,16 @@ class _Engine:
         self.fill_probabilities(state, state[:, : self.m], state[:, self.m : 2 * self.m], state[:, 2 * self.m :], p)
         return p
 
-    def step(
-        self,
-        state: np.ndarray,
-        s: np.ndarray,
-        a: np.ndarray,
-        dd: np.ndarray,
-        u: np.ndarray,
-        t: float,
-        p: np.ndarray,
-        q: np.ndarray,
-    ) -> None:
-        """Advance every replica by one epoch in place; u is one uniform each.
 
-        ``s``, ``a`` and ``dd`` must be the column views of ``state``;
-        ``p`` and ``q`` the buffers from :meth:`make_buffers`.
-        """
-        self.fill_probabilities(state, s, a, dd, p)
-        np.cumsum(p, axis=1, out=q)
-        worst = float(q[:, -1].max())
-        if worst > 1.0:
-            raise StepSizeError(
-                f"summed event probability {worst:.6g} > 1 at t = {t:g}; decrease dt"
-            )
-        idx = (q < u[:, None]).sum(axis=1)
-        state += self.delta[idx]
+def _select(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Event index per row of cumulative probabilities ``q`` for uniforms ``u``.
+
+    Row-wise ``np.searchsorted(q[r], u[r], side="right")``: event k fires
+    iff q[k-1] <= u < q[k], and the result is the no_event index
+    (``q.shape[1]``) iff u >= q[-1]. Rows of q are nondecreasing, so the
+    search is the count of bounds at or below u.
+    """
+    return np.count_nonzero(q <= u[:, None], axis=1)
 
 
 def event_probabilities(params: ModelParams, state: DiscreteState, dt: float, mode: str) -> TransitionTable:
@@ -379,9 +375,9 @@ def max_stable_dt(params: ModelParams, n: float, safety: float = 0.9, *, horizon
 @dataclass
 class _RunOutput:
     traj: np.ndarray | None = None        # (replicas, samples, 3m) counts
-    sums: np.ndarray | None = None        # (samples, 3m) sum over replicas
-    sumsq: np.ndarray | None = None       # (samples, 3m) sum of squares
-    ext_epoch: np.ndarray | None = None   # (replicas,) first epoch with no actives, -1 if none
+    sums: np.ndarray | None = None        # (samples, 3m) int64 sum over replicas
+    sumsq: np.ndarray | None = None       # (samples, 3m) int64 sum of squares
+    ext_epoch: np.ndarray | None = None   # (replicas,) epochs until no actives, -1 if none
     final: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
@@ -400,8 +396,26 @@ def _run_replicas(
     want_extinction: bool = False,
     want_final: bool = False,
     stop_when_extinct: bool = False,
+    first_replica: int = 0,
 ) -> _RunOutput:
-    """Advance a batch of replicas; each consumes one uniform per epoch."""
+    """Replay a batch of replicas event by event, one uniform per epoch.
+
+    Each replica keeps an epoch pointer and a block of its own uniforms.
+    A round fills the event probabilities of every running replica once,
+    finds in each block the first epoch at or after the pointer whose
+    uniform fires an event, applies that event and moves the pointer past
+    it. A replica whose block holds no further event moves to the block's
+    end and draws the next block. Trajectories and moments are recorded
+    as per-sample differences and summed at the end.
+
+    With ``stop_when_extinct`` a replica is not simulated past the epoch
+    its actives run out. ``first_replica`` is the ensemble index of
+    ``seeds[0]``; errors name replicas by ensemble index.
+
+    Raises:
+        StepSizeError: if a replica, before its last simulated epoch,
+            enters a state whose summed event probability exceeds 1.
+    """
     eng = _Engine(params, mode, dt, logistic)
     m = params.m
     n_rep = len(seeds)
@@ -409,91 +423,136 @@ def _run_replicas(
     state[:, :m] = init.s
     state[:, m : 2 * m] = init.a
     state[:, 2 * m :] = init.dd
-    s = state[:, :m]
-    a = state[:, m : 2 * m]
-    dd = state[:, 2 * m :]
-    gens = [np.random.Generator(np.random.PCG64(int(sd))) for sd in seeds]
-    orig = np.arange(n_rep)
+    ext = np.where(state[:, m : 2 * m].sum(axis=1) == 0, 0, -1)
 
-    out = _RunOutput()
     n_samples = (n_epochs // stride + 1) if stride else 0
     if want_traj:
-        out.traj = np.empty((n_rep, n_samples, 3 * m), dtype=np.int64)
-        out.traj[:, 0] = state
+        traj = np.zeros((n_rep, n_samples, 3 * m), dtype=np.int64)
+        traj[:, 0] = state
     if want_moments:
-        out.sums = np.zeros((n_samples, 3 * m))
-        out.sumsq = np.zeros((n_samples, 3 * m))
-        _accumulate_moments(out, 0, state)
-    if want_extinction:
-        out.ext_epoch = np.full(n_rep, -1, dtype=np.int64)
-        out.ext_epoch[a.sum(axis=1) == 0] = 0
+        sums = np.zeros((n_samples, 3 * m), dtype=np.int64)
+        sumsq = np.zeros_like(sums)
+        sums[0] = state.sum(axis=0)
+        sumsq[0] = np.square(state).sum(axis=0)
 
-    block_cap = max(64, min(_BLOCK_EPOCH_CAP, _UNIFORM_BUDGET // max(n_rep, 1)))
-    epoch = 0
-    p_buf, q_buf = eng.make_buffers(n_rep)
-    while epoch < n_epochs and len(gens) > 0:
-        block = min(block_cap, n_epochs - epoch)
-        uniforms = np.empty((len(gens), block))
-        for i, g in enumerate(gens):
-            uniforms[i] = g.random(block)
-        for j in range(block):
-            eng.step(state, s, a, dd, uniforms[:, j], epoch * dt, p_buf, q_buf)
-            epoch += 1
-            if want_extinction:
-                fresh = (a.sum(axis=1) == 0) & (out.ext_epoch[orig] < 0)
-                if fresh.any():
-                    out.ext_epoch[orig[fresh]] = epoch
-            if stride and epoch % stride == 0:
-                t_idx = epoch // stride
+    # slot i runs replica rid[i]; its buffer row holds the uniforms of
+    # epochs base[i] .. base[i] + block - 1, padded with 2.0 (never fires)
+    # past n_epochs, and ptr[i] is the next epoch it simulates
+    rid = np.arange(n_rep) if n_epochs > 0 else np.arange(0)
+    if stop_when_extinct:
+        rid = rid[ext[rid] < 0]
+    n = rid.size
+    block = min(_REPLAY_BLOCK, n_epochs)
+    buf = np.full((n, block), 2.0)
+    gens: list[np.random.Generator | None] = []
+    for i, r in enumerate(rid):
+        g = np.random.Generator(np.random.PCG64(int(seeds[r])))
+        g.random(out=buf[i])
+        gens.append(g if block < n_epochs else None)
+    base = np.zeros(n, dtype=np.int64)
+    ptr = np.zeros(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    # row o marks the columns at or after offset o
+    at_or_after = np.arange(block)[None, :] >= np.arange(block + 1)[:, None]
+    p, q = eng.make_buffers(n)
+    hit = np.empty((n, block), dtype=bool)
+    ahead = np.empty_like(hit)
+
+    while n:
+        cur = state[rid]
+        eng.fill_probabilities(cur, cur[:, :m], cur[:, m : 2 * m], cur[:, 2 * m :], p)
+        np.cumsum(p, axis=1, out=q)
+        total = q[:, -1]
+        over = active & (total > 1.0)
+        if over.any():
+            i = int(np.argmax(over))
+            raise StepSizeError(
+                f"summed event probability {total[i]:.6g} > 1 for replica "
+                f"{first_replica + int(rid[i])} at epoch {int(ptr[i])} "
+                f"(t = {int(ptr[i]) * dt:g}); decrease dt"
+            )
+        # first uniform at or after the pointer that fires an event
+        np.less(buf, np.where(active, total, -1.0)[:, None], out=hit)
+        np.take(at_or_after, ptr - base, axis=0, out=ahead)
+        hit &= ahead
+        first = hit.argmax(axis=1)
+        fires = hit[np.arange(n), first]
+        block_end = np.minimum(base + block, n_epochs)
+        ptr = np.where(fires, base + first + 1, block_end)
+
+        ev = np.flatnonzero(fires)
+        if ev.size:
+            r = rid[ev]
+            old = state[r]
+            d = eng.delta[_select(q[ev], buf[ev, first[ev]])]
+            new = old + d
+            state[r] = new
+            done = ptr[ev]  # epochs simulated once the event has happened
+            if stride and (want_traj or want_moments):
+                k = -(-done // stride)  # first sample that includes the event
+                seen = k < n_samples
                 if want_traj:
-                    out.traj[:, t_idx] = state
+                    traj[r[seen], k[seen]] += d[seen]
                 if want_moments:
-                    _accumulate_moments(out, t_idx, state)
-        if stop_when_extinct:
-            live = out.ext_epoch[orig] < 0
-            if not live.all():
-                state = np.ascontiguousarray(state[live])
-                s = state[:, :m]
-                a = state[:, m : 2 * m]
-                dd = state[:, 2 * m :]
-                orig = orig[live]
-                gens = [g for g, keep in zip(gens, live) if keep]
-                p_buf, q_buf = eng.make_buffers(len(gens))
+                    np.add.at(sums, k[seen], d[seen])
+                    np.add.at(sumsq, k[seen], (new * new - old * old)[seen])
+            gone = (ext[r] < 0) & (new[:, m : 2 * m].sum(axis=1) == 0)
+            ext[r[gone]] = done[gone]
+            if stop_when_extinct:
+                active[ev[gone]] = False
+
+        spent = active & (ptr == block_end)
+        active[spent & (block_end == n_epochs)] = False
+        refill = np.flatnonzero(spent & active)
+        if refill.size:
+            base[refill] = block_end[refill]
+            widths = np.minimum(n_epochs - base[refill], block)
+            for i, width in zip(refill.tolist(), widths.tolist()):
+                gens[i].random(out=buf[i, :width])
+                if base[i] + width == n_epochs:
+                    gens[i] = None
+                    buf[i, width:] = 2.0
+
+        # drop finished slots once they make up half the batch
+        live = np.flatnonzero(active)
+        if live.size <= n // 2:
+            rid, buf, base, ptr = rid[live], buf[live], base[live], ptr[live]
+            gens = [gens[i] for i in live]
+            n = live.size
+            active = np.ones(n, dtype=bool)
+            p, q = eng.make_buffers(n)
+            hit = np.empty((n, block), dtype=bool)
+            ahead = np.empty_like(hit)
+
+    out = _RunOutput()
+    if want_traj:
+        out.traj = np.cumsum(traj, axis=1, out=traj)
+    if want_moments:
+        out.sums = np.cumsum(sums, axis=0, out=sums)
+        out.sumsq = np.cumsum(sumsq, axis=0, out=sumsq)
+    if want_extinction:
+        out.ext_epoch = ext
     if want_final:
-        out.final = (s.copy(), a.copy(), dd.copy())
+        out.final = (state[:, :m].copy(), state[:, m : 2 * m].copy(), state[:, 2 * m :].copy())
     return out
 
 
-def _accumulate_moments(out: _RunOutput, t_idx: int, state: np.ndarray) -> None:
-    # counts are integers, so these float sums are exact and independent of
-    # summation order (well inside 2**53)
-    out.sums[t_idx] += state.sum(axis=0)
-    out.sumsq[t_idx] += np.square(state).sum(axis=0)
+def _check_threads(threads: int | None) -> None:
+    """Validate a thread setting (``threads`` or DIFFUSION_THREADS).
 
-
-def _resolve_threads(threads: int | None) -> int:
+    Replicas run on the calling thread; the setting is accepted for
+    compatibility and changes neither the work nor the bytes.
+    """
     if threads is None:
         env = os.environ.get("DIFFUSION_THREADS")
         if env is None or env.strip() == "":
-            threads = 0
-        else:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ConfigError(f"DIFFUSION_THREADS must be an integer, got {env!r}") from None
-    threads = int(threads)
-    if threads < 0:
-        raise DomainError(f"thread count must be nonnegative, got {threads}")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return threads
-
-
-def _map_chunks(fn, n_chunks: int, threads: int) -> list:
-    if threads <= 1 or n_chunks <= 1:
-        return [fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=min(threads, n_chunks)) as ex:
-        return list(ex.map(fn, range(n_chunks)))
+            return
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ConfigError(f"DIFFUSION_THREADS must be an integer, got {env!r}") from None
+    if int(threads) < 0:
+        raise DomainError(f"thread count must be nonnegative, got {int(threads)}")
 
 
 def _epochs_and_stride(dt: float, horizon: float, sample_every: float | None) -> tuple[int, int]:
@@ -576,28 +635,22 @@ def monte_carlo_mean(
 
     Replica r uses the generator seeded by derive_replica_seed(seed, r);
     the result is identical to averaging ``simulate_replica`` over those
-    seeds, and does not depend on the thread count. Spread is the sample
-    standard deviation (ddof 1; all zeros when n_replicas is 1).
+    seeds. ``threads`` (or DIFFUSION_THREADS) is validated and changes
+    nothing else. Spread is the sample standard deviation (ddof 1; all
+    zeros when n_replicas is 1).
     """
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
     _validate_chain_inputs(params, init, mode, logistic)
     n_epochs, stride = _epochs_and_stride(dt, horizon, sample_every)
-    threads = _resolve_threads(threads)
-    chunks = _replica_chunks(n_replicas)
-
-    def run(ci: int) -> _RunOutput:
-        lo, hi = chunks[ci]
-        seeds = [derive_replica_seed(seed, r) for r in range(lo, hi)]
-        return _run_replicas(
-            params, mode, logistic, init, dt, n_epochs, seeds,
-            stride=stride, want_moments=True,
+    _check_threads(threads)
+    sums = sumsq = 0
+    for lo, hi in _replica_chunks(n_replicas):
+        res = _run_replicas(
+            params, mode, logistic, init, dt, n_epochs,
+            [derive_replica_seed(seed, r) for r in range(lo, hi)],
+            stride=stride, want_moments=True, first_replica=lo,
         )
-
-    results = _map_chunks(run, len(chunks), threads)
-    sums = results[0].sums
-    sumsq = results[0].sumsq
-    for res in results[1:]:
         sums = sums + res.sums
         sumsq = sumsq + res.sumsq
     n = float(n_replicas)
@@ -660,19 +713,15 @@ def extinction_time_stochastic(
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
     _validate_chain_inputs(params, init, mode, logistic)
     n_epochs, _ = _epochs_and_stride(dt, horizon, None)
-    threads = _resolve_threads(threads)
-    chunks = _replica_chunks(n_replicas)
-
-    def run(ci: int) -> _RunOutput:
-        lo, hi = chunks[ci]
-        seeds = [derive_replica_seed(seed, r) for r in range(lo, hi)]
-        return _run_replicas(
-            params, mode, logistic, init, dt, n_epochs, seeds,
-            want_extinction=True, stop_when_extinct=True,
-        )
-
-    results = _map_chunks(run, len(chunks), threads)
-    epochs = np.concatenate([res.ext_epoch for res in results])
+    _check_threads(threads)
+    epochs = np.concatenate([
+        _run_replicas(
+            params, mode, logistic, init, dt, n_epochs,
+            [derive_replica_seed(seed, r) for r in range(lo, hi)],
+            want_extinction=True, stop_when_extinct=True, first_replica=lo,
+        ).ext_epoch
+        for lo, hi in _replica_chunks(n_replicas)
+    ])
     times = np.where(epochs >= 0, epochs * dt, np.nan)
     done = times[np.isfinite(times)]
     n_censored = int(n_replicas - done.size)
