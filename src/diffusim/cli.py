@@ -21,7 +21,6 @@ from .config import ScenarioConfig, load_config
 from .dtmc import max_stable_dt, monte_carlo_mean, extinction_time_stochastic
 from .errors import ConfigError, DomainError, NumericError
 from .integrate import integrate
-from .logistic import LogisticConfig
 from .model import ModelParams
 from .threshold import build_decomposition, calibrate_alpha, r0_rank_one
 from .trajectory import TrajectoryTable, format_value
@@ -92,32 +91,13 @@ def _resolved_params(cfg: ScenarioConfig) -> ModelParams:
 def _auto_dt(params: ModelParams, cfg: ScenarioConfig, sample_every: float) -> float:
     """Epoch length: the largest divisor of sample_every that is provably stable.
 
-    Without logistic coupling this is max_stable_dt at the initial
-    population size. With it, birth and death rates scale with the live
-    population, so the bound is rebuilt here for populations up to 1.5x
-    the carrying capacity (the chain fluctuates around the capacity and
-    needs headroom above it).
+    The bound is max_stable_dt at the initial population size, with the
+    scenario's logistic coupling when it is enabled.
     """
     total0 = float(cfg.s0.sum() + cfg.a0.sum() + cfg.d0.sum())
-    if cfg.logistic.enabled:
-        p = params
-        lg = cfg.logistic
-        pop = max(total0, 1.5 * lg.capacity, 1.0)
-        # per-channel rate ceilings at population <= pop: activation
-        # (eps_i s_i / N <= max eps, gamma . a <= max gamma * pop),
-        # deactivation/return/withdrawal (counts <= pop), logistic
-        # deaths (growth * pop / capacity per head) and births
-        r_max = pop * (
-            p.alpha * float(p.eps.max()) * float(p.gamma.max())
-            + float(p.phi.max())
-            + float(p.delta.max())
-            + float(p.rho.max())
-            + lg.growth_rate * (1.0 + pop / lg.capacity)
-        )
-        bound = sample_every if r_max == 0.0 else min(0.9 / r_max, sample_every)
-    else:
-        n_cap = max(1, math.ceil(total0))
-        bound = min(max_stable_dt(params, n_cap), sample_every)
+    logistic = cfg.logistic if cfg.logistic.enabled else None
+    n_cap = max(1, math.ceil(total0))
+    bound = min(max_stable_dt(params, n_cap, logistic=logistic), sample_every)
     k = max(1, math.ceil(sample_every / bound - 1e-9))
     return sample_every / k
 

@@ -345,13 +345,27 @@ def event_probabilities(params: ModelParams, state: DiscreteState, dt: float, mo
     return TransitionTable(probabilities=probs, dt=float(dt))
 
 
-def max_stable_dt(params: ModelParams, n: float, safety: float = 0.9, *, horizon: float = math.inf) -> float:
+def max_stable_dt(
+    params: ModelParams,
+    n: float,
+    safety: float = 0.9,
+    *,
+    horizon: float = math.inf,
+    logistic: LogisticConfig | None = None,
+) -> float:
     """Largest epoch length guaranteed valid for compartment counts up to n.
 
     Bounds the total event rate by maximizing every channel independently
     with all compartment counts at ``n`` (full-mode channels included, so
     the bound covers both modes) and returns safety divided by the bound.
     With every rate zero the bound is vacuous and ``horizon`` is returned.
+
+    With ``logistic`` enabled, birth and death rates scale with the live
+    population, so the bound instead covers every population up to
+    P = max(n, 1.5 K) (the chain fluctuates around the capacity K and
+    needs headroom above it): each channel's per-capita rate is maximized
+    over the groups, activation by alpha max(eps) max(gamma), and the
+    logistic births and deaths contribute r (1 + P / K) per head.
     """
     n = float(n)
     if not np.isfinite(n) or n < 1:
@@ -359,14 +373,24 @@ def max_stable_dt(params: ModelParams, n: float, safety: float = 0.9, *, horizon
     safety = float(safety)
     if not (0 < safety <= 1):
         raise DomainError(f"safety must be in (0, 1], got {safety!r}")
-    r_act = params.alpha * float(params.eps.sum()) * float(params.gamma.sum()) * n * n / params.n_total
-    r_lin = n * float(
-        (params.phi + params.d).sum()
-        + params.delta.sum()
-        + (params.rho + params.d).sum()
-        + params.d.sum()
-    ) + float(params.b.sum())
-    r_max = r_act + r_lin
+    if logistic is not None and logistic.enabled:
+        pop = max(n, 1.5 * logistic.capacity)
+        r_max = pop * (
+            params.alpha * float(params.eps.max()) * float(params.gamma.max())
+            + float(params.phi.max())
+            + float(params.delta.max())
+            + float(params.rho.max())
+            + logistic.growth_rate * (1.0 + pop / logistic.capacity)
+        )
+    else:
+        r_act = params.alpha * float(params.eps.sum()) * float(params.gamma.sum()) * n * n / params.n_total
+        r_lin = n * float(
+            (params.phi + params.d).sum()
+            + params.delta.sum()
+            + (params.rho + params.d).sum()
+            + params.d.sum()
+        ) + float(params.b.sum())
+        r_max = r_act + r_lin
     if r_max == 0.0:
         return horizon
     return safety / r_max

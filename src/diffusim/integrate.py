@@ -8,13 +8,14 @@ rejected as numerically unsound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .logistic import LogisticConfig, effective_params_for_total
-from .model import ContinuousState, ModelParams, _rhs_flat, _rk4_step
+from .logistic import LogisticConfig
+from .model import ContinuousState, ModelParams, _flow, _rk4_step
 from .trajectory import TrajectoryTable
 
 __all__ = [
@@ -79,6 +80,8 @@ def integrate(
     Raises:
         NumericError: on a non-finite state (reports the time of blowup)
             or when more than 0.1% of steps needed the negativity clamp.
+        DomainError: under logistic coupling, when the population of an
+            RK4 stage is negative or non-finite.
     """
     if init.m != params.m:
         raise DomainError(f"init has {init.m} groups, params expect {params.m}")
@@ -87,26 +90,22 @@ def integrate(
     n_steps = int(np.floor(cfg.horizon / h + 1e-9))
     n_samples = n_steps // stride + 1
 
-    if logistic is not None and logistic.enabled:
-        def f(v: np.ndarray) -> np.ndarray:
-            return _rhs_flat(effective_params_for_total(params, logistic, float(v.sum())), v)
-    else:
-        def f(v: np.ndarray) -> np.ndarray:
-            return _rhs_flat(params, v)
-
+    f = _flow(params, logistic)
     m = params.m
-    y = np.concatenate([init.s, init.a, init.dd]).astype(float)
+    y = [*init.s.tolist(), *init.a.tolist(), *init.dd.tolist()]
     out = np.empty((n_samples, 3 * m))
     out[0] = y
     clamped = 0
     sample_idx = 1
     for j in range(1, n_steps + 1):
-        y = _rk4_step(y, h, f)
-        if not np.all(np.isfinite(y)):
+        y = _rk4_step(f, y, h)
+        # every component is checked before the clamp, so a nan is never
+        # clamped to 0 (a finiteness check on sum(y) could overflow)
+        if not all(map(math.isfinite, y)):
             raise NumericError(f"state became non-finite at t = {j * h:g}")
-        if np.any(y < 0):
+        if min(y) < 0.0:
             clamped += 1
-            np.maximum(y, 0.0, out=y)
+            y = [0.0 if v < 0.0 else v for v in y]
         if j % stride == 0:
             out[sample_idx] = y
             sample_idx += 1

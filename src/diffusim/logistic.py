@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .model import ModelParams
+from .model import ModelParams, _population_error
 
 __all__ = ["LogisticConfig", "logistic_rates", "effective_params_for_total", "apply_logistic"]
 
@@ -43,7 +43,7 @@ def logistic_rates(cfg: LogisticConfig, n: float) -> tuple[float, float]:
     """Total birth inflow and per-capita death rate at population n."""
     n = float(n)
     if not np.isfinite(n) or n < 0:
-        raise DomainError(f"population must be nonnegative and finite, got {n!r}")
+        raise _population_error(n)
     return cfg.growth_rate * n, cfg.growth_rate * n / cfg.capacity
 
 

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import single_group_params
+from conftest import single_group_params, two_group_params
 
 from diffusim import (
     FULL,
     PAPER_LITERAL,
     DiscreteState,
+    LogisticConfig,
     ModelParams,
+    calibrate_alpha,
     canonical_events,
     derive_replica_seed,
     event_probabilities,
@@ -185,6 +187,28 @@ def test_stability_bound_shrinks_with_population_and_guards_the_table():
         table = event_probabilities(p, st, dt, PAPER_LITERAL)
         vals = np.array([float(v) for v in table.probabilities.values()])
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+
+
+@pytest.mark.parametrize("capacity", [60.0, 150.0])
+def test_logistic_stability_bound_keeps_the_cli_ceiling(capacity):
+    # the formula the CLI used for logistic scenarios before the bound moved
+    # into max_stable_dt: every per-capita channel maximized over groups, at
+    # populations up to max(N0, 1.5 K, 1)
+    base = two_group_params()
+    p = base.with_alpha(calibrate_alpha(base, 1.4))
+    lg = LogisticConfig(enabled=True, growth_rate=1.0, capacity=capacity)
+    total0 = 100.0
+    pop = max(total0, 1.5 * lg.capacity, 1.0)
+    r_max = pop * (
+        p.alpha * float(p.eps.max()) * float(p.gamma.max())
+        + float(p.phi.max())
+        + float(p.delta.max())
+        + float(p.rho.max())
+        + lg.growth_rate * (1.0 + pop / lg.capacity)
+    )
+    assert max_stable_dt(p, total0, logistic=lg) == 0.9 / r_max
+    off = LogisticConfig(enabled=False, growth_rate=1.0, capacity=capacity)
+    assert max_stable_dt(p, total0, logistic=off) == max_stable_dt(p, total0)
 
 
 def test_stability_bound_rejects_bad_safety():

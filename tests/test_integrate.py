@@ -143,6 +143,16 @@ def test_nonfinite_state_reports_time_of_blowup():
         integrate(p, init, IntegrationConfig(step=1e8, horizon=1e9, sample_every=1e8))
 
 
+def test_nan_state_is_rejected_not_clamped():
+    # gamma * a overflows, so the activation term is inf * 0 = nan in the
+    # first step: the state holds nans but no inf, and clamping a nan to 0
+    # would hide the failure
+    p = frozen_params(alpha=1.0, rho=0.1, phi=0.1, gamma=10.0)
+    init = ContinuousState(t=0.0, s=np.array([0.0]), a=np.array([1e308]), dd=np.array([0.0]))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"non-finite at t = 0\.1$"):
+        integrate(p, init, IntegrationConfig(step=0.1, horizon=1.0, sample_every=0.1))
+
+
 def test_chronic_negativity_clamping_is_rejected():
     with pytest.raises(NumericError, match="clamp"):
         integrate(two_group_params(), demo_init(),

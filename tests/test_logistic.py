@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import two_group_params
 
 from diffusim import (
     FULL,
@@ -12,6 +13,8 @@ from diffusim import (
     LogisticConfig,
     ModelParams,
     apply_logistic,
+    calibrate_alpha,
+    disease_free_equilibrium,
     integrate,
     logistic_rates,
     monte_carlo_mean,
@@ -113,6 +116,21 @@ def test_ode_population_tracks_the_closed_form_logistic_curve():
     expected = cap / (1.0 + (cap / n0 - 1.0) * np.exp(-1.0 * traj.times))
     rel = np.max(np.abs(total - expected) / expected)
     assert rel < 1e-4
+
+
+def test_negative_stage_population_fails_loudly():
+    # a step far too large for R0 4.9 under strong logistic turnover drives
+    # the population of an RK4 stage negative; the coupling must refuse it
+    # rather than feed a negative N into the birth and death rates
+    base = two_group_params()
+    p = base.with_alpha(calibrate_alpha(base, 4.9))
+    eq = disease_free_equilibrium(p)
+    a0 = 0.01 * eq.s_star
+    init = ContinuousState(t=0.0, s=eq.s_star - a0, a=a0, dd=eq.d_star)
+    lg = LogisticConfig(enabled=True, growth_rate=1.0, capacity=150.0)
+    cfg = IntegrationConfig(step=0.1, horizon=50.0, sample_every=0.5)
+    with pytest.raises(DomainError, match=r"population must be nonnegative and finite, got -2450030\.12"):
+        integrate(p, init, cfg, logistic=lg)
 
 
 # ---------------------------------------------------------------------- chain

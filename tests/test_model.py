@@ -12,7 +12,7 @@ from diffusim import (
     force_of_activation,
     ode_rhs,
 )
-from diffusim.errors import ConvergenceError, DomainError
+from diffusim.errors import ConvergenceError, DiffusionError, DomainError
 from diffusim.threshold import calibrate_alpha
 
 
@@ -228,3 +228,24 @@ def test_persistent_search_reports_nonconvergence_with_last_state():
     with pytest.raises(ConvergenceError) as err:
         endemic_equilibrium(p, seeded_state(p), horizon=5.0)
     assert err.value.last_state is not None
+
+
+@pytest.mark.parametrize("horizon, n_steps", [(0.3, 3), (0.7, 7)])
+def test_persistent_search_runs_every_step_of_the_horizon(horizon, n_steps):
+    # with tol 0 the search never converges, so it must run all
+    # floor(horizon / step) steps and report the time it reached
+    base = two_group_params()
+    p = base.with_alpha(calibrate_alpha(base, 2.3))
+    with pytest.raises(ConvergenceError) as err:
+        endemic_equilibrium(p, seeded_state(p), tol=0.0, horizon=horizon, step=0.1)
+    assert err.value.last_state.t == pytest.approx(n_steps * 0.1)
+
+
+def test_persistent_search_never_clamps_a_nan_into_a_point():
+    # gamma * a overflows, so the first residual is inf * 0 = nan; a march
+    # that clamped the nan state to 0 would settle on a spurious point
+    p = ModelParams(m=1, n_total=100.0, alpha=1.0, b=0.0, d=0.0, rho=0.1,
+                    delta=0.0, phi=0.1, eps=1.0, gamma=10.0)
+    seed = ContinuousState(t=0.0, s=np.array([0.0]), a=np.array([1e308]), dd=np.array([0.0]))
+    with np.errstate(all="ignore"), pytest.raises(DiffusionError):
+        endemic_equilibrium(p, seed, horizon=1.0, step=0.1)
