@@ -195,36 +195,26 @@ class TransitionTable:
         return self.probabilities[Event("no_event", None)]
 
 
+# (s, a, dd) increments of each event kind in its own group
+_EVENT_DELTAS = {
+    "activate": (-1, 1, 0),
+    "deactivate": (0, -1, 1),
+    "return": (1, 0, -1),
+    "withdraw": (-1, 0, 1),
+    "death_s": (-1, 0, 0),
+    "death_a": (0, -1, 0),
+    "death_d": (0, 0, -1),
+    "birth": (1, 0, 0),
+}
+
+
 def _delta_tables(m: int, mode: str) -> np.ndarray:
     """Per-event increments to the flat (s, a, dd) state, one row per event."""
     events = canonical_events(m, mode)
-    k = len(events)
-    ds = np.zeros((k, m), dtype=np.int64)
-    da = np.zeros((k, m), dtype=np.int64)
-    ddd = np.zeros((k, m), dtype=np.int64)
+    delta = np.zeros((len(events), 3, m), dtype=np.int64)
     for row, ev in enumerate(events[:-1]):
-        g = ev.group - 1
-        if ev.kind == "activate":
-            ds[row, g] = -1
-            da[row, g] = 1
-        elif ev.kind == "deactivate":
-            da[row, g] = -1
-            ddd[row, g] = 1
-        elif ev.kind == "return":
-            ddd[row, g] = -1
-            ds[row, g] = 1
-        elif ev.kind == "withdraw":
-            ds[row, g] = -1
-            ddd[row, g] = 1
-        elif ev.kind == "death_s":
-            ds[row, g] = -1
-        elif ev.kind == "death_a":
-            da[row, g] = -1
-        elif ev.kind == "death_d":
-            ddd[row, g] = -1
-        elif ev.kind == "birth":
-            ds[row, g] = 1
-    return np.hstack([ds, da, ddd])
+        delta[row, :, ev.group - 1] = _EVENT_DELTAS[ev.kind]
+    return delta.reshape(len(events), 3 * m)
 
 
 class _Engine:
@@ -335,8 +325,7 @@ def event_probabilities(params: ModelParams, state: DiscreteState, dt: float, mo
         raise DomainError(f"state has {state.m} groups, params expect {params.m}")
     eng = _Engine(params, mode, dt, None)
     row = eng.probabilities(state.s[None, :], state.a[None, :], state.dd[None, :])[0]
-    cum = np.cumsum(row)
-    total = float(cum[-1]) if row.size else 0.0
+    total = float(np.cumsum(row)[-1])
     if total > 1.0:
         raise StepSizeError(f"summed event probability {total:.6g} > 1; decrease dt")
     events = canonical_events(params.m, mode)
@@ -779,15 +768,52 @@ class ExactPropagation:
     final_p: np.ndarray
 
 
+def _simplex_index(n: int, s, a):
+    """Place of (s, a) in the lexicographic order of {(s, a): s + a <= n}."""
+    return s * (n + 1) - s * (s - 1) // 2 + a
+
+
+def _exact_kernel(params: ModelParams, n: int, dt: float) -> tuple[np.ndarray, scipy.sparse.csr_matrix]:
+    """States (s, a) of the m = 1 paper_literal chain with N = n, and its kernel.
+
+    One :class:`_Engine` call fills every state's event probabilities,
+    with the arithmetic of :func:`event_probabilities` row by row. Column
+    j holds state j's nonzero event entries in canonical order, then its
+    no_event entry on the diagonal.
+
+    Raises:
+        StepSizeError: for the first state, in lexicographic order, whose
+            summed event probability exceeds 1.
+    """
+    s = np.repeat(np.arange(n + 1, dtype=np.int64), np.arange(n + 1, 0, -1))
+    a = np.arange(s.size, dtype=np.int64) - _simplex_index(n, s, 0)
+    eng = _Engine(params, PAPER_LITERAL, dt, None)
+    prob = eng.probabilities(s[:, None], a[:, None], (n - s - a)[:, None])
+    total = np.cumsum(prob, axis=1)[:, -1]
+    over = np.flatnonzero(total > 1.0)
+    if over.size:
+        raise StepSizeError(f"summed event probability {float(total[over[0]]):.6g} > 1; decrease dt")
+
+    vals = np.column_stack([prob, 1.0 - total])
+    keep = vals != 0.0
+    keep[:, -1] = True
+    col, ev = np.nonzero(keep)
+    row = _simplex_index(n, s[col] + eng.delta[ev, 0], a[col] + eng.delta[ev, 1])
+    kernel = scipy.sparse.csr_matrix((vals[keep], (row, col)), shape=(s.size, s.size))
+    return np.column_stack([s, a]), kernel
+
+
 def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_steps: int) -> ExactPropagation:
     """Propagate the full state distribution of the m = 1 chain exactly.
 
     Builds the sparse one-epoch kernel (at most 5 nonzeros per column)
-    from :func:`event_probabilities` over every reachable state
-    {(s, a): s + a <= N} and applies it ``n_steps`` times to a point mass
-    at ``init``. Runs in paper_literal mode (constant N).
+    over every reachable state {(s, a): s + a <= N} in one array pass
+    and applies it ``n_steps`` times to a point mass at ``init``. Runs in
+    paper_literal mode (constant N).
 
     Raises:
+        StepSizeError: if the summed event probability exceeds 1 at any
+            reachable state (dt too large); raised before any step.
         NumericError: if the probability mass drifts from 1 by more than
             1e-12 at any step.
     """
@@ -797,44 +823,10 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
     if n_steps < 0:
         raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
     n = init.total()
-
-    # lexicographic (s, a) enumeration of {(s, a): s + a <= N}
-    states = np.array([(s, a) for s in range(n + 1) for a in range(n + 1 - s)], dtype=np.int64)
-    index = {(int(s), int(a)): i for i, (s, a) in enumerate(states)}
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for col, (s0, a0) in enumerate(states):
-        st = DiscreteState(s=[int(s0)], a=[int(a0)], dd=[int(n - s0 - a0)])
-        table = event_probabilities(params, st, dt, PAPER_LITERAL)
-        stay = 0.0
-        for ev, p in table.probabilities.items():
-            if ev.kind == "no_event":
-                stay += p
-                continue
-            if p == 0.0:
-                continue
-            if ev.kind == "activate":
-                dest = (int(s0) - 1, int(a0) + 1)
-            elif ev.kind == "deactivate":
-                dest = (int(s0), int(a0) - 1)
-            elif ev.kind == "return":
-                dest = (int(s0) + 1, int(a0))
-            else:  # withdraw
-                dest = (int(s0) - 1, int(a0))
-            rows.append(index[dest])
-            cols.append(col)
-            vals.append(p)
-        rows.append(col)
-        cols.append(col)
-        vals.append(stay)
-    kernel = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(states.shape[0], states.shape[0])
-    )
+    states, kernel = _exact_kernel(params, n, dt)
 
     p = np.zeros(states.shape[0])
-    p[index[(int(init.s[0]), int(init.a[0]))]] = 1.0
+    p[_simplex_index(n, int(init.s[0]), int(init.a[0]))] = 1.0
     s_vals = states[:, 0].astype(float)
     a_vals = states[:, 1].astype(float)
     e_s = np.empty(n_steps + 1)
@@ -845,9 +837,7 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
             p = kernel @ p
         mass[step] = p.sum()
         if abs(mass[step] - 1.0) > 1e-12:
-            raise NumericError(
-                f"probability mass drifted to {mass[step]!r} at step {step}"
-            )
+            raise NumericError(f"probability mass drifted to {mass[step]!r} at step {step}")
         e_s[step] = s_vals @ p
         e_a[step] = a_vals @ p
     e_d = n - e_s - e_a

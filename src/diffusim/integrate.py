@@ -78,10 +78,11 @@ def integrate(
         TrajectoryTable sampled at 0, sample_every, 2*sample_every, ...
 
     Raises:
-        NumericError: on a non-finite state (reports the time of blowup)
-            or when more than 0.1% of steps needed the negativity clamp.
-        DomainError: under logistic coupling, when the population of an
-            RK4 stage is negative or non-finite.
+        NumericError: on a non-finite state (reports the time of blowup),
+            when more than 0.1% of steps needed the negativity clamp, or,
+            under logistic coupling, when the population of an RK4 stage
+            is negative or non-finite (reports the population, the time
+            and the step).
     """
     if init.m != params.m:
         raise DomainError(f"init has {init.m} groups, params expect {params.m}")
@@ -97,18 +98,22 @@ def integrate(
     out[0] = y
     clamped = 0
     sample_idx = 1
-    for j in range(1, n_steps + 1):
-        y = _rk4_step(f, y, h)
-        # every component is checked before the clamp, so a nan is never
-        # clamped to 0 (a finiteness check on sum(y) could overflow)
-        if not all(map(math.isfinite, y)):
-            raise NumericError(f"state became non-finite at t = {j * h:g}")
-        if min(y) < 0.0:
-            clamped += 1
-            y = [0.0 if v < 0.0 else v for v in y]
-        if j % stride == 0:
-            out[sample_idx] = y
-            sample_idx += 1
+    # one try for the whole loop: a logistic stage's DomainError is a step-size failure
+    try:
+        for j in range(1, n_steps + 1):
+            y = _rk4_step(f, y, h)
+            # every component is checked before the clamp, so a nan is never
+            # clamped to 0 (a finiteness check on sum(y) could overflow)
+            if not all(map(math.isfinite, y)):
+                raise NumericError(f"state became non-finite at t = {j * h:g}")
+            if min(y) < 0.0:
+                clamped += 1
+                y = [0.0 if v < 0.0 else v for v in y]
+            if j % stride == 0:
+                out[sample_idx] = y
+                sample_idx += 1
+    except DomainError as exc:
+        raise NumericError(f"{exc} at t = {j * h:g} (step {h:g}); decrease the step size") from exc
     if n_steps > 0 and clamped > _CLAMP_BUDGET * n_steps:
         raise NumericError(
             f"negativity clamp hit on {clamped}/{n_steps} steps "

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, NumericError
 
 __all__ = [
     "ModelParams",
@@ -334,6 +334,7 @@ def endemic_equilibrium(
 
     Raises:
         DomainError: if the seed has no active mass at all.
+        NumericError: at the first step whose state is not finite.
         ConvergenceError: if stationarity is not reached within
             ``horizon`` time units; carries the last state reached.
     """
@@ -345,13 +346,16 @@ def endemic_equilibrium(
     f = _flow(params)
     y = [*seed_state.s.tolist(), *seed_state.a.tolist(), *seed_state.dd.tolist()]
     n_steps = int(math.floor(horizon / step + 1e-9))
-    for _ in range(n_steps):
+    for j in range(1, n_steps + 1):
         k1 = f(y)
         # max() can pass over a nan, so a converged residual must also be finite
         if max(map(abs, k1)) < tol and all(map(math.isfinite, k1)):
             break
-        # clamp negatives only: a nan must survive the clamp
-        y = [0.0 if v < 0.0 else v for v in _rk4_step(f, y, step, k1)]
+        y = _rk4_step(f, y, step, k1)
+        # checked before the clamp, as in integrate: the clamp would turn -inf into 0
+        if not all(map(math.isfinite, y)):
+            raise NumericError(f"state became non-finite at t = {j * step:g}")
+        y = [0.0 if v < 0.0 else v for v in y]
     else:
         last = ContinuousState(t=n_steps * step, s=y[:m], a=y[m : 2 * m], dd=y[2 * m :])
         residual = float(np.max(np.abs(f(y))))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diffusim.cli import main
+from diffusim.config import bundled_config
 
 TINY = """
 m = 1
@@ -159,6 +160,17 @@ def test_oversized_chain_step_exits_3(tmp_path, capsys):
                  "--horizon", "5", "--replicas", "2", "--dt", "0.5"])
     assert code == 3
     assert "decrease dt" in capsys.readouterr().err
+
+
+def test_negative_logistic_stage_exits_3(tmp_path, capsys):
+    # table2 rates at R0 4.9 with a step of 0.1 and strong logistic turnover:
+    # an RK4 stage population goes negative, which is a step-size failure
+    cfg = write_cfg(tmp_path, bundled_config() + "mode = full\ntarget_r0 = 4.9\nstep = 0.1\n"
+                    "logistic.enabled = true\nlogistic.capacity = 150\n")
+    assert main(["run-ode", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "population must be nonnegative and finite, got -" in err
+    assert "at t = 0.5 (step 0.1); decrease the step size" in err
 
 
 # ----------------------------------------------------------- reproducibility

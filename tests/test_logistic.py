@@ -20,7 +20,7 @@ from diffusim import (
     monte_carlo_mean,
     simulate_replica,
 )
-from diffusim.errors import DomainError
+from diffusim.errors import DomainError, NumericError
 
 
 def quiet_params(n_total: float = 60.0) -> ModelParams:
@@ -129,7 +129,7 @@ def test_negative_stage_population_fails_loudly():
     init = ContinuousState(t=0.0, s=eq.s_star - a0, a=a0, dd=eq.d_star)
     lg = LogisticConfig(enabled=True, growth_rate=1.0, capacity=150.0)
     cfg = IntegrationConfig(step=0.1, horizon=50.0, sample_every=0.5)
-    with pytest.raises(DomainError, match=r"population must be nonnegative and finite, got -2450030\.12"):
+    with pytest.raises(NumericError, match=r"population must be nonnegative and finite, got -2450030\.12"):
         integrate(p, init, cfg, logistic=lg)
 
 

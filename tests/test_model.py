@@ -12,7 +12,7 @@ from diffusim import (
     force_of_activation,
     ode_rhs,
 )
-from diffusim.errors import ConvergenceError, DiffusionError, DomainError
+from diffusim.errors import ConvergenceError, DomainError, NumericError
 from diffusim.threshold import calibrate_alpha
 
 
@@ -247,5 +247,5 @@ def test_persistent_search_never_clamps_a_nan_into_a_point():
     p = ModelParams(m=1, n_total=100.0, alpha=1.0, b=0.0, d=0.0, rho=0.1,
                     delta=0.0, phi=0.1, eps=1.0, gamma=10.0)
     seed = ContinuousState(t=0.0, s=np.array([0.0]), a=np.array([1e308]), dd=np.array([0.0]))
-    with np.errstate(all="ignore"), pytest.raises(DiffusionError):
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"non-finite at t = 0\.1$"):
         endemic_equilibrium(p, seed, horizon=1.0, step=0.1)
