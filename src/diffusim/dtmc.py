@@ -36,7 +36,9 @@ Reproducibility contract:
   never fires, not even for u = 0.
 * Replica r of an ensemble owns numpy's PCG64 seeded with
   derive_replica_seed(seed, r): the SplitMix64 finalizer applied to
-  (seed + (r + 1) * 0x9E3779B97F4A7C15) mod 2^64.
+  (seed + (r + 1) * 0x9E3779B97F4A7C15) mod 2^64. A batch's seeds and
+  PCG64 seeding words are computed in one array pass; each generator is
+  then the stream of ``PCG64(derive_replica_seed(seed, r))`` exactly.
 * Ensemble reductions are exact integer sums over fixed chunks of 256
   replicas, combined in index order.
 
@@ -53,12 +55,14 @@ the epochs.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, DomainError, NumericError, StepSizeError
 from .integrate import _multiple_of
@@ -107,6 +111,69 @@ def derive_replica_seed(seed: int, index: int) -> int:
     z = (z * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return z
+
+
+def _replica_seeds(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``derive_replica_seed(seed, r)`` for r in [lo, hi), as uint64."""
+    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(int(seed) & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+# numpy's SeedSequence hash: pool size 4, 32-bit words
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
+    """Row i is ``np.random.SeedSequence(seeds[i]).generate_state(4, np.uint64)``.
+
+    The SeedSequence hash run on uint32 arrays, one replica per element.
+    A seed is its low and high 32-bit words; a seed below 2^32 is one
+    entropy word, and its missing second word hashes like a zero.
+    """
+    u32 = np.uint32
+    hash_const = _SS_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ u32(hash_const)
+        hash_const = (hash_const * _SS_MULT_A) & 0xFFFFFFFF
+        value = value * u32(hash_const)
+        return value ^ (value >> u32(16))
+
+    zero = np.zeros(seeds.shape, dtype=u32)
+    entropy = [(seeds & np.uint64(0xFFFFFFFF)).astype(u32), (seeds >> np.uint64(32)).astype(u32), zero, zero]
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = u32(_SS_MIX_L) * pool[dst] - u32(_SS_MIX_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> u32(16))
+    state = np.empty(seeds.shape + (8,), dtype=u32)
+    hash_const = _SS_INIT_B
+    for k in range(8):
+        value = pool[k % 4] ^ u32(hash_const)
+        hash_const = (hash_const * _SS_MULT_B) & 0xFFFFFFFF
+        value = value * u32(hash_const)
+        state[..., k] = value ^ (value >> u32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """Seeds a bit generator with precomputed words (see :func:`_pcg64_words`)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly the four uint64 words the row holds
+        return self.words
 
 
 class Event(NamedTuple):
@@ -254,8 +321,8 @@ class _Engine:
         self.c_death3 = np.concatenate([params.d, params.d, params.d]) * dt
         self.c_birth = params.b * dt
 
-    def make_buffers(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Probability and cumulative buffers for an r-replica batch.
+    def make_buffers(self, r: int) -> np.ndarray:
+        """Probability buffer for an r-replica batch.
 
         Constant columns (births outside the logistic coupling) are filled
         here once; fill_probabilities never touches them.
@@ -263,7 +330,7 @@ class _Engine:
         p = np.zeros((r, self.n_events))
         if self.mode == FULL and self.logistic is None:
             p[:, 7 * self.m :] = self.c_birth
-        return p, np.empty_like(p)
+        return p
 
     def fill_probabilities(self, state: np.ndarray, s: np.ndarray, a: np.ndarray, dd: np.ndarray, p: np.ndarray) -> None:
         """Write the per-event probability stack for ``state`` into ``p``.
@@ -295,7 +362,7 @@ class _Engine:
     def probabilities(self, s: np.ndarray, a: np.ndarray, dd: np.ndarray) -> np.ndarray:
         """Event probability stack, shape (replicas, n_events)."""
         state = np.hstack([s, a, dd])
-        p, _ = self.make_buffers(state.shape[0])
+        p = self.make_buffers(state.shape[0])
         self.fill_probabilities(state, state[:, : self.m], state[:, self.m : 2 * self.m], state[:, 2 * self.m :], p)
         return p
 
@@ -401,7 +468,7 @@ def _run_replicas(
     init: DiscreteState,
     dt: float,
     n_epochs: int,
-    seeds: list[int],
+    seeds: np.ndarray | list[int],
     *,
     stride: int = 0,
     want_traj: bool = False,
@@ -422,7 +489,9 @@ def _run_replicas(
     as per-sample differences and summed at the end.
 
     With ``stop_when_extinct`` a replica is not simulated past the epoch
-    its actives run out. ``first_replica`` is the ensemble index of
+    its actives run out. ``seeds`` are the replicas' 64-bit seeds (a
+    sequence or uint64 array); replica i draws from
+    ``PCG64(seeds[i])``. ``first_replica`` is the ensemble index of
     ``seeds[0]``; errors name replicas by ensemble index.
 
     Raises:
@@ -457,9 +526,10 @@ def _run_replicas(
     n = rid.size
     block = min(_REPLAY_BLOCK, n_epochs)
     buf = np.full((n, block), 2.0)
+    words = _pcg64_words(np.asarray(seeds, dtype=np.uint64)[rid])
     gens: list[np.random.Generator | None] = []
-    for i, r in enumerate(rid):
-        g = np.random.Generator(np.random.PCG64(int(seeds[r])))
+    for i in range(n):
+        g = np.random.Generator(np.random.PCG64(_Words(words[i])))
         g.random(out=buf[i])
         gens.append(g if block < n_epochs else None)
     base = np.zeros(n, dtype=np.int64)
@@ -467,7 +537,8 @@ def _run_replicas(
     active = np.ones(n, dtype=bool)
     # row o marks the columns at or after offset o
     at_or_after = np.arange(block)[None, :] >= np.arange(block + 1)[:, None]
-    p, q = eng.make_buffers(n)
+    p = eng.make_buffers(n)
+    q = np.empty_like(p)
     hit = np.empty((n, block), dtype=bool)
     ahead = np.empty_like(hit)
 
@@ -533,7 +604,8 @@ def _run_replicas(
             gens = [gens[i] for i in live]
             n = live.size
             active = np.ones(n, dtype=bool)
-            p, q = eng.make_buffers(n)
+            p = eng.make_buffers(n)
+            q = np.empty_like(p)
             hit = np.empty((n, block), dtype=bool)
             ahead = np.empty_like(hit)
 
@@ -611,13 +683,20 @@ def simulate_replica(
 
     Records the state every ``sample_every`` time units (every epoch when
     None). The same inputs give the same trajectory on every run. The
-    seed is used as given, so replica r of an ensemble run with master
-    seed s is reproduced by ``seed=derive_replica_seed(s, r)``.
+    seed, an integer in [0, 2^64), seeds numpy's PCG64 as given, so
+    replica r of an ensemble run with master seed s is reproduced by
+    ``seed=derive_replica_seed(s, r)``.
     """
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if not 0 <= value <= _MASK64:
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     _validate_chain_inputs(params, init, mode, logistic)
     n_epochs, stride = _epochs_and_stride(dt, horizon, sample_every)
     out = _run_replicas(
-        params, mode, logistic, init, dt, n_epochs, [int(seed)],
+        params, mode, logistic, init, dt, n_epochs, [value],
         stride=stride, want_traj=True,
     )
     m = params.m
@@ -661,7 +740,7 @@ def monte_carlo_mean(
     for lo, hi in _replica_chunks(n_replicas):
         res = _run_replicas(
             params, mode, logistic, init, dt, n_epochs,
-            [derive_replica_seed(seed, r) for r in range(lo, hi)],
+            _replica_seeds(seed, lo, hi),
             stride=stride, want_moments=True, first_replica=lo,
         )
         sums = sums + res.sums
@@ -730,7 +809,7 @@ def extinction_time_stochastic(
     epochs = np.concatenate([
         _run_replicas(
             params, mode, logistic, init, dt, n_epochs,
-            [derive_replica_seed(seed, r) for r in range(lo, hi)],
+            _replica_seeds(seed, lo, hi),
             want_extinction=True, stop_when_extinct=True, first_replica=lo,
         ).ext_epoch
         for lo, hi in _replica_chunks(n_replicas)

@@ -1,0 +1,111 @@
+"""Batch seeding of replica generators against numpy's own seeding.
+
+``_replica_seeds`` must give ``derive_replica_seed`` for every replica,
+``_pcg64_words`` must give ``SeedSequence(s).generate_state(4, np.uint64)``
+for every seed, and a generator built from those words must draw the
+stream of ``PCG64(s)``. Ensembles seeded this way must equal their
+replicas run one at a time through ``simulate_replica``.
+"""
+
+import numpy as np
+import pytest
+from conftest import single_group_params, two_group_params
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diffusim import (
+    FULL,
+    PAPER_LITERAL,
+    DiscreteState,
+    derive_replica_seed,
+    extinction_time_stochastic,
+    monte_carlo_mean,
+    simulate_replica,
+)
+from diffusim.dtmc import _pcg64_words, _replica_seeds, _Words
+from diffusim.errors import DomainError
+
+EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+def numpy_words(seed):
+    return np.random.SeedSequence(int(seed)).generate_state(4, np.uint64)
+
+
+def small_init():
+    return DiscreteState(s=[10], a=[5], dd=[5])
+
+
+def test_words_match_seed_sequence_at_the_edges():
+    words = _pcg64_words(np.array(EDGE_SEEDS, dtype=np.uint64))
+    assert words.dtype == np.uint64
+    np.testing.assert_array_equal(words, np.stack([numpy_words(s) for s in EDGE_SEEDS]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1))
+def test_words_match_seed_sequence(seed):
+    np.testing.assert_array_equal(_pcg64_words(np.array([seed], dtype=np.uint64))[0], numpy_words(seed))
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, derive_replica_seed(42, 0)])
+def test_generator_from_words_draws_the_pcg64_stream(seed):
+    words = _pcg64_words(np.array([seed], dtype=np.uint64))[0]
+    gen = np.random.Generator(np.random.PCG64(_Words(words)))
+    # drawn in replay's 256-uniform blocks, across three refills
+    got = np.concatenate([gen.random(256) for _ in range(4)])[:1000]
+    np.testing.assert_array_equal(got, np.random.Generator(np.random.PCG64(seed)).random(1000))
+
+
+def test_replica_seeds_match_the_published_vectors():
+    assert _replica_seeds(0, 0, 2).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    assert _replica_seeds(42, 0, 2).tolist() == [0xBDD732262FEB6E95, 0x28EFE333B266F103]
+
+
+@pytest.mark.parametrize("master", [0, 42, -1])
+@pytest.mark.parametrize("lo, hi", [(0, 256), (512, 600)])
+def test_replica_seeds_match_derive_replica_seed(master, lo, hi):
+    seeds = _replica_seeds(master, lo, hi)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_replica_seed(master, r) for r in range(lo, hi)]
+
+
+def test_ensemble_of_three_chunks_equals_its_replicas_byte_for_byte():
+    p = single_group_params()
+    n, seed = 600, 2024
+    mc = monte_carlo_mean(p, small_init(), 0.05, 2.0, PAPER_LITERAL, n_replicas=n, seed=seed)
+    runs = [simulate_replica(p, small_init(), 0.05, 2.0, PAPER_LITERAL, seed=derive_replica_seed(seed, r))
+            for r in range(n)]
+    for field, sd_field in (("s", "sd_s"), ("a", "sd_a"), ("dd", "sd_dd")):
+        stack = np.stack([getattr(tr, field) for tr in runs])
+        mean = stack.sum(axis=0) / float(n)
+        var = (np.square(stack).sum(axis=0) - n * mean * mean) / (n - 1.0)
+        assert getattr(mc, field).tobytes() == mean.tobytes()
+        assert getattr(mc, sd_field).tobytes() == np.sqrt(np.maximum(var, 0.0)).tobytes()
+
+
+def test_extinction_times_equal_those_of_the_replicas():
+    p = two_group_params(alpha=0.5)
+    init = DiscreteState(s=[10, 10], a=[1, 1], dd=[1, 1])
+    n, seed, dt = 260, -7, 0.02
+    summary = extinction_time_stochastic(p, init, dt, 10.0, FULL, n_replicas=n, seed=seed)
+    expected = []
+    for r in range(n):
+        tr = simulate_replica(p, init, dt, 10.0, FULL, seed=derive_replica_seed(seed, r))
+        gone = np.flatnonzero(tr.a.sum(axis=1) == 0)
+        expected.append(gone[0] * dt if gone.size else np.nan)
+    np.testing.assert_array_equal(summary.times, expected)
+    assert 0 < summary.n_censored < n
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**64], ids=["negative", "fractional", "too_wide"])
+def test_replica_seed_outside_the_64_bit_range_is_a_domain_error(seed):
+    with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        simulate_replica(single_group_params(), small_init(), 0.05, 1.0, PAPER_LITERAL, seed=seed)
+
+
+def test_replica_seed_at_the_top_of_the_range_and_as_numpy_integer():
+    p = single_group_params()
+    top = simulate_replica(p, small_init(), 0.05, 5.0, PAPER_LITERAL, seed=2**64 - 1)
+    again = simulate_replica(p, small_init(), 0.05, 5.0, PAPER_LITERAL, seed=np.uint64(2**64 - 1))
+    np.testing.assert_array_equal(top.a, again.a)
