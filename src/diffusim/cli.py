@@ -95,9 +95,8 @@ def _auto_dt(params: ModelParams, cfg: ScenarioConfig, sample_every: float) -> f
     scenario's logistic coupling when it is enabled.
     """
     total0 = float(cfg.s0.sum() + cfg.a0.sum() + cfg.d0.sum())
-    logistic = cfg.logistic if cfg.logistic.enabled else None
     n_cap = max(1, math.ceil(total0))
-    bound = min(max_stable_dt(params, n_cap, logistic=logistic), sample_every)
+    bound = min(max_stable_dt(params, n_cap, logistic=cfg.logistic), sample_every)
     k = max(1, math.ceil(sample_every / bound - 1e-9))
     return sample_every / k
 
@@ -141,8 +140,7 @@ def _cmd_calibrate(cfg: ScenarioConfig, target_r0: float | None) -> int:
 
 def _cmd_run_ode(cfg: ScenarioConfig, out: str | None) -> int:
     params = _resolved_params(cfg)
-    logistic = cfg.logistic if cfg.logistic.enabled else None
-    traj = integrate(params, cfg.continuous_init(), cfg.integration, logistic=logistic)
+    traj = integrate(params, cfg.continuous_init(), cfg.integration, logistic=cfg.logistic)
     _emit(_traj_csv(traj), out)
     return 0
 
@@ -155,27 +153,26 @@ def _chain_settings(cfg: ScenarioConfig, params: ModelParams, dt_flag: float | N
     return dt, cfg.integration.horizon, sample_every
 
 
-def _cmd_run_dtmc(cfg: ScenarioConfig, out: str | None, n_replicas: int, seed: int, dt_flag: float | None) -> int:
-    params = _resolved_params(cfg)
-    logistic = cfg.logistic if cfg.logistic.enabled else None
+def _ensemble(
+    cfg: ScenarioConfig, params: ModelParams, n_replicas: int, seed: int, dt_flag: float | None
+) -> TrajectoryTable:
     dt, horizon, sample_every = _chain_settings(cfg, params, dt_flag)
-    traj = monte_carlo_mean(
+    return monte_carlo_mean(
         params, cfg.discrete_init(), dt, horizon, cfg.mode,
-        n_replicas=n_replicas, seed=seed, sample_every=sample_every, logistic=logistic,
+        n_replicas=n_replicas, seed=seed, sample_every=sample_every, logistic=cfg.logistic,
     )
+
+
+def _cmd_run_dtmc(cfg: ScenarioConfig, out: str | None, n_replicas: int, seed: int, dt_flag: float | None) -> int:
+    traj = _ensemble(cfg, _resolved_params(cfg), n_replicas, seed, dt_flag)
     _emit(_traj_csv(traj), out)
     return 0
 
 
 def _cmd_compare(cfg: ScenarioConfig, out: str | None, n_replicas: int, seed: int, dt_flag: float | None) -> int:
     params = _resolved_params(cfg)
-    logistic = cfg.logistic if cfg.logistic.enabled else None
-    ode = integrate(params, cfg.continuous_init(), cfg.integration, logistic=logistic)
-    dt, horizon, sample_every = _chain_settings(cfg, params, dt_flag)
-    mc = monte_carlo_mean(
-        params, cfg.discrete_init(), dt, horizon, cfg.mode,
-        n_replicas=n_replicas, seed=seed, sample_every=sample_every, logistic=logistic,
-    )
+    ode = integrate(params, cfg.continuous_init(), cfg.integration, logistic=cfg.logistic)
+    mc = _ensemble(cfg, params, n_replicas, seed, dt_flag)
     if ode.times.shape != mc.times.shape:
         raise NumericError(
             f"sampling grids disagree: {ode.times.shape[0]} mean-field rows vs "
@@ -201,19 +198,16 @@ def _cmd_compare(cfg: ScenarioConfig, out: str | None, n_replicas: int, seed: in
 
 def _cmd_extinction_sweep(
     cfg: ScenarioConfig, out: str | None, n_replicas: int, seed: int,
-    dt_flag: float | None, horizon: float, r0_grid: list[float],
+    dt_flag: float | None, r0_grid: list[float],
 ) -> int:
-    logistic = cfg.logistic if cfg.logistic.enabled else None
     lines = ["r0,alpha,mean_extinction_time,sd_extinction_time,n_extinct,n_censored"]
     for target in r0_grid:
         alpha = calibrate_alpha(cfg.params, target)
         params = cfg.params.with_alpha(alpha)
-        dt = dt_flag if dt_flag is not None else cfg.dt
-        if dt is None:
-            dt = _auto_dt(params, cfg, cfg.integration.sample_every)
+        dt, horizon, _ = _chain_settings(cfg, params, dt_flag)
         summary = extinction_time_stochastic(
             params, cfg.discrete_init(), dt, horizon, cfg.mode,
-            n_replicas=n_replicas, seed=seed, logistic=logistic,
+            n_replicas=n_replicas, seed=seed, logistic=cfg.logistic,
         )
         mean = "" if summary.mean is None else format_value(summary.mean)
         sd = "" if summary.spread is None else format_value(summary.spread)
@@ -269,9 +263,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "compare":
         return _cmd_compare(cfg, out, n_replicas, seed, args.dt)
     if args.command == "extinction-sweep":
-        return _cmd_extinction_sweep(
-            cfg, out, n_replicas, seed, args.dt, cfg.integration.horizon, args.r0_grid
-        )
+        return _cmd_extinction_sweep(cfg, out, n_replicas, seed, args.dt, args.r0_grid)
     if args.command == "logistic-sweep":
         return _cmd_logistic_sweep(cfg, out, args.k_grid)
     raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,7 +63,7 @@ import numpy as np
 import scipy.sparse
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigError, DomainError, NumericError, StepSizeError
+from .errors import DomainError, NumericError, StepSizeError
 from .integrate import _multiple_of
 from .logistic import LogisticConfig
 from .model import ModelParams
@@ -332,38 +331,37 @@ class _Engine:
             p[:, 7 * self.m :] = self.c_birth
         return p
 
-    def fill_probabilities(self, state: np.ndarray, s: np.ndarray, a: np.ndarray, dd: np.ndarray, p: np.ndarray) -> None:
-        """Write the per-event probability stack for ``state`` into ``p``.
+    def fill_probabilities(self, state: np.ndarray, p: np.ndarray) -> None:
+        """Write the event probabilities of the flat (s, a, dd) rows ``state`` into ``p``.
 
-        ``s``, ``a`` and ``dd`` must be the column views of ``state`` and
         ``p`` must come from :meth:`make_buffers` for the same batch size.
+        Activation is ``coef * s_i * scale`` with ``scale = gamma . a``,
+        divided by the replica's population under the logistic coupling,
+        which also sets the death and birth columns from that population.
         """
         m = self.m
-        w = a @ self.gamma
+        s = state[:, :m]
+        scale = state[:, m : 2 * m] @ self.gamma
         if self.logistic is None:
-            np.multiply(s, self.act_const, out=p[:, :m])
-            p[:, :m] *= w[:, None]
-            np.multiply(state[:, m:], self.c_mid, out=p[:, m : 3 * m])
-            np.multiply(s, self.c_withd, out=p[:, 3 * m : 4 * m])
-            if self.mode == FULL:
-                np.multiply(state, self.c_death3, out=p[:, 4 * m : 7 * m])
+            coef, death = self.act_const, self.c_death3
         else:
             lg = self.logistic
             total = state.sum(axis=1).astype(float)
-            den = np.where(total > 0, total, 1.0)  # rates all vanish at N = 0
-            np.multiply(s, self.act_num, out=p[:, :m])
-            p[:, :m] *= (w / den)[:, None]
-            np.multiply(state[:, m:], self.c_mid, out=p[:, m : 3 * m])
-            np.multiply(s, self.c_withd, out=p[:, 3 * m : 4 * m])
-            death = (lg.growth_rate * self.dt / lg.capacity) * total
-            np.multiply(state, death[:, None], out=p[:, 4 * m : 7 * m])
+            scale /= np.where(total > 0, total, 1.0)  # rates all vanish at N = 0
+            coef = self.act_num
+            death = ((lg.growth_rate * self.dt / lg.capacity) * total)[:, None]
             p[:, 7 * m :] = ((lg.growth_rate * self.dt / m) * total)[:, None]
+        np.multiply(s, coef, out=p[:, :m])
+        p[:, :m] *= scale[:, None]
+        np.multiply(state[:, m:], self.c_mid, out=p[:, m : 3 * m])
+        np.multiply(s, self.c_withd, out=p[:, 3 * m : 4 * m])
+        if self.mode == FULL:
+            np.multiply(state, death, out=p[:, 4 * m : 7 * m])
 
-    def probabilities(self, s: np.ndarray, a: np.ndarray, dd: np.ndarray) -> np.ndarray:
-        """Event probability stack, shape (replicas, n_events)."""
-        state = np.hstack([s, a, dd])
+    def probabilities(self, state: np.ndarray) -> np.ndarray:
+        """Event probability stack of the flat (s, a, dd) rows, shape (replicas, n_events)."""
         p = self.make_buffers(state.shape[0])
-        self.fill_probabilities(state, state[:, : self.m], state[:, self.m : 2 * self.m], state[:, 2 * self.m :], p)
+        self.fill_probabilities(state, p)
         return p
 
 
@@ -391,7 +389,7 @@ def event_probabilities(params: ModelParams, state: DiscreteState, dt: float, mo
     if state.m != params.m:
         raise DomainError(f"state has {state.m} groups, params expect {params.m}")
     eng = _Engine(params, mode, dt, None)
-    row = eng.probabilities(state.s[None, :], state.a[None, :], state.dd[None, :])[0]
+    row = eng.probabilities(np.concatenate([state.s, state.a, state.dd])[None, :])[0]
     total = float(np.cumsum(row)[-1])
     if total > 1.0:
         raise StepSizeError(f"summed event probability {total:.6g} > 1; decrease dt")
@@ -454,11 +452,11 @@ def max_stable_dt(
 
 @dataclass
 class _RunOutput:
+    ext_epoch: np.ndarray                 # (replicas,) epochs until no actives, -1 if none
+    final: np.ndarray                     # (replicas, 3m) last simulated state
     traj: np.ndarray | None = None        # (replicas, samples, 3m) counts
     sums: np.ndarray | None = None        # (samples, 3m) int64 sum over replicas
     sumsq: np.ndarray | None = None       # (samples, 3m) int64 sum of squares
-    ext_epoch: np.ndarray | None = None   # (replicas,) epochs until no actives, -1 if none
-    final: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 def _run_replicas(
@@ -471,11 +469,7 @@ def _run_replicas(
     seeds: np.ndarray | list[int],
     *,
     stride: int = 0,
-    want_traj: bool = False,
-    want_moments: bool = False,
-    want_extinction: bool = False,
-    want_final: bool = False,
-    stop_when_extinct: bool = False,
+    moments: bool = False,
     first_replica: int = 0,
 ) -> _RunOutput:
     """Replay a batch of replicas event by event, one uniform per epoch.
@@ -488,11 +482,18 @@ def _run_replicas(
     end and draws the next block. Trajectories and moments are recorded
     as per-sample differences and summed at the end.
 
-    With ``stop_when_extinct`` a replica is not simulated past the epoch
-    its actives run out. ``seeds`` are the replicas' 64-bit seeds (a
-    sequence or uint64 array); replica i draws from
-    ``PCG64(seeds[i])``. ``first_replica`` is the ensemble index of
-    ``seeds[0]``; errors name replicas by ensemble index.
+    ``stride`` chooses the run. With ``stride > 0`` every replica runs all
+    ``n_epochs`` and its state is sampled every ``stride`` epochs: as
+    per-replica trajectories in ``traj``, or with ``moments`` as the int64
+    sums over replicas of the samples and of their squares in ``sums`` and
+    ``sumsq``. With ``stride == 0`` nothing is sampled and the run is a
+    first passage: a replica stops at the epoch in which its actives run
+    out. Every run returns each replica's extinction epoch and its last
+    simulated state.
+
+    ``seeds`` are the replicas' 64-bit seeds (a sequence or uint64 array);
+    replica i draws from ``PCG64(seeds[i])``. ``first_replica`` is the
+    ensemble index of ``seeds[0]``; errors name replicas by ensemble index.
 
     Raises:
         StepSizeError: if a replica, before its last simulated epoch,
@@ -507,21 +508,22 @@ def _run_replicas(
     state[:, 2 * m :] = init.dd
     ext = np.where(state[:, m : 2 * m].sum(axis=1) == 0, 0, -1)
 
+    out = _RunOutput(ext_epoch=ext, final=state)
     n_samples = (n_epochs // stride + 1) if stride else 0
-    if want_traj:
-        traj = np.zeros((n_rep, n_samples, 3 * m), dtype=np.int64)
-        traj[:, 0] = state
-    if want_moments:
-        sums = np.zeros((n_samples, 3 * m), dtype=np.int64)
-        sumsq = np.zeros_like(sums)
+    if stride and moments:
+        out.sums = sums = np.zeros((n_samples, 3 * m), dtype=np.int64)
+        out.sumsq = sumsq = np.zeros_like(sums)
         sums[0] = state.sum(axis=0)
         sumsq[0] = np.square(state).sum(axis=0)
+    elif stride:
+        out.traj = traj = np.zeros((n_rep, n_samples, 3 * m), dtype=np.int64)
+        traj[:, 0] = state
 
     # slot i runs replica rid[i]; its buffer row holds the uniforms of
     # epochs base[i] .. base[i] + block - 1, padded with 2.0 (never fires)
     # past n_epochs, and ptr[i] is the next epoch it simulates
     rid = np.arange(n_rep) if n_epochs > 0 else np.arange(0)
-    if stop_when_extinct:
+    if not stride:
         rid = rid[ext[rid] < 0]
     n = rid.size
     block = min(_REPLAY_BLOCK, n_epochs)
@@ -544,7 +546,7 @@ def _run_replicas(
 
     while n:
         cur = state[rid]
-        eng.fill_probabilities(cur, cur[:, :m], cur[:, m : 2 * m], cur[:, 2 * m :], p)
+        eng.fill_probabilities(cur, p)
         np.cumsum(p, axis=1, out=q)
         total = q[:, -1]
         over = active & (total > 1.0)
@@ -572,17 +574,17 @@ def _run_replicas(
             new = old + d
             state[r] = new
             done = ptr[ev]  # epochs simulated once the event has happened
-            if stride and (want_traj or want_moments):
+            if stride:
                 k = -(-done // stride)  # first sample that includes the event
                 seen = k < n_samples
-                if want_traj:
-                    traj[r[seen], k[seen]] += d[seen]
-                if want_moments:
+                if moments:
                     np.add.at(sums, k[seen], d[seen])
                     np.add.at(sumsq, k[seen], (new * new - old * old)[seen])
+                else:
+                    traj[r[seen], k[seen]] += d[seen]
             gone = (ext[r] < 0) & (new[:, m : 2 * m].sum(axis=1) == 0)
             ext[r[gone]] = done[gone]
-            if stop_when_extinct:
+            if not stride:
                 active[ev[gone]] = False
 
         spent = active & (ptr == block_end)
@@ -609,55 +611,23 @@ def _run_replicas(
             hit = np.empty((n, block), dtype=bool)
             ahead = np.empty_like(hit)
 
-    out = _RunOutput()
-    if want_traj:
-        out.traj = np.cumsum(traj, axis=1, out=traj)
-    if want_moments:
-        out.sums = np.cumsum(sums, axis=0, out=sums)
-        out.sumsq = np.cumsum(sumsq, axis=0, out=sumsq)
-    if want_extinction:
-        out.ext_epoch = ext
-    if want_final:
-        out.final = (state[:, :m].copy(), state[:, m : 2 * m].copy(), state[:, 2 * m :].copy())
+    if stride and moments:
+        np.cumsum(sums, axis=0, out=sums)
+        np.cumsum(sumsq, axis=0, out=sumsq)
+    elif stride:
+        np.cumsum(traj, axis=1, out=traj)
     return out
 
 
-def _check_threads(threads: int | None) -> None:
-    """Validate a thread setting (``threads`` or DIFFUSION_THREADS).
-
-    Replicas run on the calling thread; the setting is accepted for
-    compatibility and changes neither the work nor the bytes.
-    """
-    if threads is None:
-        env = os.environ.get("DIFFUSION_THREADS")
-        if env is None or env.strip() == "":
-            return
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(f"DIFFUSION_THREADS must be an integer, got {env!r}") from None
-    if int(threads) < 0:
-        raise DomainError(f"thread count must be nonnegative, got {int(threads)}")
-
-
-def _epochs_and_stride(dt: float, horizon: float, sample_every: float | None) -> tuple[int, int]:
-    dt = float(dt)
-    horizon = float(horizon)
-    if not np.isfinite(dt) or dt <= 0:
-        raise DomainError(f"dt must be positive and finite, got {dt!r}")
-    if not np.isfinite(horizon) or horizon < 0:
-        raise DomainError(f"horizon must be nonnegative and finite, got {horizon!r}")
-    n_epochs = int(np.floor(horizon / dt + 1e-9))
-    if sample_every is None:
-        stride = 1
-    else:
-        stride = _multiple_of(float(sample_every), dt, "sample_every/dt")
-    return n_epochs, stride
-
-
-def _validate_chain_inputs(
-    params: ModelParams, init: DiscreteState, mode: str, logistic: LogisticConfig | None
-) -> None:
+def _chain_setup(
+    params: ModelParams,
+    init: DiscreteState,
+    mode: str,
+    dt: float,
+    horizon: float = 0.0,
+    sample_every: float | None = None,
+) -> tuple[int, int]:
+    """Validate a chain driver's inputs; return (epochs, epochs per sample)."""
     _check_mode(mode)
     if init.m != params.m:
         raise DomainError(f"init has {init.m} groups, params expect {params.m}")
@@ -666,6 +636,16 @@ def _validate_chain_inputs(
             f"paper_literal mode keeps the population constant: initial total "
             f"{init.total()} must equal n_total {params.n_total:g}"
         )
+    dt = float(dt)
+    horizon = float(horizon)
+    if not np.isfinite(dt) or dt <= 0:
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
+    if not np.isfinite(horizon) or horizon < 0:
+        raise DomainError(f"horizon must be nonnegative and finite, got {horizon!r}")
+    n_epochs = int(np.floor(horizon / dt + 1e-9))
+    if sample_every is None:
+        return n_epochs, 1
+    return n_epochs, _multiple_of(float(sample_every), dt, "sample_every/dt")
 
 
 def simulate_replica(
@@ -693,12 +673,8 @@ def simulate_replica(
         value = -1
     if not 0 <= value <= _MASK64:
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    _validate_chain_inputs(params, init, mode, logistic)
-    n_epochs, stride = _epochs_and_stride(dt, horizon, sample_every)
-    out = _run_replicas(
-        params, mode, logistic, init, dt, n_epochs, [value],
-        stride=stride, want_traj=True,
-    )
+    n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every)
+    out = _run_replicas(params, mode, logistic, init, dt, n_epochs, [value], stride=stride)
     m = params.m
     tr = out.traj[0].astype(float)
     n_samples = tr.shape[0]
@@ -721,27 +697,23 @@ def monte_carlo_mean(
     *,
     sample_every: float | None = None,
     logistic: LogisticConfig | None = None,
-    threads: int | None = None,
 ) -> TrajectoryTable:
     """Mean trajectory over independent replicas, with sample spread.
 
     Replica r uses the generator seeded by derive_replica_seed(seed, r);
     the result is identical to averaging ``simulate_replica`` over those
-    seeds. ``threads`` (or DIFFUSION_THREADS) is validated and changes
-    nothing else. Spread is the sample standard deviation (ddof 1; all
-    zeros when n_replicas is 1).
+    seeds. Spread is the sample standard deviation (ddof 1; all zeros when
+    n_replicas is 1).
     """
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
-    _validate_chain_inputs(params, init, mode, logistic)
-    n_epochs, stride = _epochs_and_stride(dt, horizon, sample_every)
-    _check_threads(threads)
+    n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every)
     sums = sumsq = 0
     for lo, hi in _replica_chunks(n_replicas):
         res = _run_replicas(
             params, mode, logistic, init, dt, n_epochs,
             _replica_seeds(seed, lo, hi),
-            stride=stride, want_moments=True, first_replica=lo,
+            stride=stride, moments=True, first_replica=lo,
         )
         sums = sums + res.sums
         sumsq = sumsq + res.sumsq
@@ -794,7 +766,6 @@ def extinction_time_stochastic(
     seed: int = 0,
     *,
     logistic: LogisticConfig | None = None,
-    threads: int | None = None,
 ) -> ExtinctionSummary:
     """First-passage times to a state with no actives, over an ensemble.
 
@@ -803,14 +774,11 @@ def extinction_time_stochastic(
     """
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
-    _validate_chain_inputs(params, init, mode, logistic)
-    n_epochs, _ = _epochs_and_stride(dt, horizon, None)
-    _check_threads(threads)
+    n_epochs, _ = _chain_setup(params, init, mode, dt, horizon)
     epochs = np.concatenate([
         _run_replicas(
             params, mode, logistic, init, dt, n_epochs,
-            _replica_seeds(seed, lo, hi),
-            want_extinction=True, stop_when_extinct=True, first_replica=lo,
+            _replica_seeds(seed, lo, hi), first_replica=lo,
         ).ext_epoch
         for lo, hi in _replica_chunks(n_replicas)
     ])
@@ -867,7 +835,7 @@ def _exact_kernel(params: ModelParams, n: int, dt: float) -> tuple[np.ndarray, s
     s = np.repeat(np.arange(n + 1, dtype=np.int64), np.arange(n + 1, 0, -1))
     a = np.arange(s.size, dtype=np.int64) - _simplex_index(n, s, 0)
     eng = _Engine(params, PAPER_LITERAL, dt, None)
-    prob = eng.probabilities(s[:, None], a[:, None], (n - s - a)[:, None])
+    prob = eng.probabilities(np.column_stack([s, a, n - s - a]))
     total = np.cumsum(prob, axis=1)[:, -1]
     over = np.flatnonzero(total > 1.0)
     if over.size:
@@ -898,7 +866,7 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
     """
     if params.m != 1:
         raise DomainError(f"exact propagation supports m = 1 only, got m = {params.m}")
-    _validate_chain_inputs(params, init, PAPER_LITERAL, None)
+    _chain_setup(params, init, PAPER_LITERAL, dt)
     if n_steps < 0:
         raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
     n = init.total()

@@ -1,8 +1,9 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from diffusim import ModelParams
+from diffusim import FULL, PAPER_LITERAL, DiscreteState, LogisticConfig, ModelParams
 
 
 def two_group_params(alpha: float = 1.0) -> ModelParams:
@@ -51,3 +52,31 @@ def random_params(rng: np.random.Generator, m: int) -> ModelParams:
         eps=rng.uniform(0.1, 1.0, m),
         gamma=rng.uniform(0.1, 1.0, m),
     )
+
+
+@st.composite
+def chain_models(draw, modes=(PAPER_LITERAL, FULL)):
+    """(params, mode, logistic, init) of a small chain; zero rates and weights included."""
+    m = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(modes))
+    rate = st.one_of(st.just(0.0), st.floats(0.005, 0.4))
+    weight = st.one_of(st.just(0.0), st.floats(0.1, 1.0))
+    counts = st.lists(st.integers(0, 6), min_size=m, max_size=m)
+    s, a, dd = draw(counts), draw(counts), draw(counts)
+    total = sum(s) + sum(a) + sum(dd)
+    if mode == PAPER_LITERAL and total == 0:
+        s[0] = total = 1
+    params = ModelParams(
+        m=m,
+        n_total=float(total) if mode == PAPER_LITERAL else draw(st.floats(1.0, 40.0)),
+        alpha=draw(st.floats(0.0, 4.0)),
+        b=[draw(rate) for _ in range(m)], d=[draw(rate) for _ in range(m)],
+        rho=[draw(rate) for _ in range(m)], delta=[draw(rate) for _ in range(m)],
+        phi=[draw(rate) for _ in range(m)],
+        eps=[draw(weight) for _ in range(m)], gamma=[draw(weight) for _ in range(m)],
+    )
+    logistic = None
+    if mode == FULL and draw(st.booleans()):
+        logistic = LogisticConfig(enabled=True, growth_rate=draw(st.floats(0.0, 0.5)),
+                                  capacity=draw(st.floats(2.0, 40.0)))
+    return params, mode, logistic, DiscreteState(s=s, a=a, dd=dd)

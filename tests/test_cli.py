@@ -185,16 +185,3 @@ def test_identical_invocations_write_identical_bytes(tmp_path, capsys):
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_thread_cap_variable_never_changes_output(tmp_path, capsys, monkeypatch):
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("DIFFUSION_THREADS", threads)
-        path = tmp_path / f"t{threads}.csv"
-        code = main(["run-dtmc", "--config", "table2", "--horizon", "5",
-                     "--replicas", "300", "--seed", "7", "--out", str(path)])
-        assert code == 0
-        outputs.append(path.read_bytes())
-    capsys.readouterr()
-    assert outputs[0] == outputs[1]

@@ -2,8 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffusim import bundled_config, load_config, parse_config, render_config
+from diffusim import (
+    FULL,
+    PAPER_LITERAL,
+    IntegrationConfig,
+    LogisticConfig,
+    ModelParams,
+    ScenarioConfig,
+    bundled_config,
+    load_config,
+    parse_config,
+    render_config,
+)
 from diffusim.errors import ConfigError, DomainError
 
 MINIMAL = """
@@ -135,6 +148,55 @@ def test_render_parse_round_trip_plain_and_fully_loaded():
         + "logistic.enabled = true\nlogistic.growth_rate = 0.5\nlogistic.capacity = 150\n"
     )
     assert parse_config(render_config(loaded)) == loaded
+
+
+@st.composite
+def scenario_configs(draw):
+    m = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from([PAPER_LITERAL, FULL]))
+
+    def vector(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=m, max_size=m)))
+
+    counts = st.lists(st.integers(0, 50), min_size=m, max_size=m)
+    s0, a0, d0 = (np.array(draw(counts), dtype=float) for _ in range(3))
+    if mode == PAPER_LITERAL and s0.sum() + a0.sum() + d0.sum() == 0:
+        s0[0] = 1.0
+    total = float(s0.sum() + a0.sum() + d0.sum())
+    n_total = total if mode == PAPER_LITERAL else total + draw(st.floats(0.5, 100.0))
+    params = ModelParams(
+        m=m, n_total=n_total, alpha=draw(st.floats(0.0, 10.0)),
+        b=vector(0.0, 1.0), d=vector(0.0, 1.0), rho=vector(0.0, 1.0),
+        delta=vector(0.0, 1.0), phi=vector(0.0, 1.0),
+        eps=vector(0.0, 2.0), gamma=vector(0.0, 2.0),
+    )
+    sample_every = draw(st.floats(0.05, 5.0))
+    integration = IntegrationConfig(
+        step=sample_every / draw(st.integers(1, 50)),
+        horizon=sample_every * draw(st.integers(1, 100)),
+        sample_every=sample_every,
+        extinction_threshold=draw(st.floats(1e-6, 1.0)),
+    )
+    dt = sample_every / draw(st.integers(1, 1000)) if draw(st.booleans()) else None
+    target_r0 = draw(st.floats(0.01, 10.0)) if draw(st.booleans()) else None
+    out = draw(st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)) if draw(st.booleans()) else None
+    logistic = LogisticConfig(
+        enabled=mode == FULL and draw(st.booleans()),
+        growth_rate=draw(st.floats(0.0, 3.0)),
+        capacity=draw(st.floats(1.0, 500.0)),
+    )
+    return ScenarioConfig(
+        params=params, s0=s0, a0=a0, d0=d0, integration=integration, dt=dt,
+        n_replicas=draw(st.integers(1, 10_000)), mode=mode, seed=draw(st.integers(0, 2**63)),
+        target_r0=target_r0, out=out, logistic=logistic,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scenario_configs())
+def test_render_parse_round_trip_on_random_configs(cfg):
+    # guards render_config's hand-written key list against the registry
+    assert parse_config(render_config(cfg)) == cfg
 
 
 def test_load_config_accepts_paths_and_bundled_names(tmp_path):

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import single_group_params, two_group_params
+from conftest import chain_models, single_group_params, two_group_params
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diffusim import (
     FULL,
@@ -147,8 +149,8 @@ def test_one_step_frequencies_match_the_table_within_four_sigma():
     base = np.array([10, 5, 5])
     for lo in range(0, n_reps, 100_000):
         seeds = [derive_replica_seed(13, r) for r in range(lo, lo + 100_000)]
-        out = _run_replicas(p, PAPER_LITERAL, None, init, dt, 1, seeds, want_final=True)
-        deltas = np.hstack(out.final) - base
+        out = _run_replicas(p, PAPER_LITERAL, None, init, dt, 1, seeds)
+        deltas = out.final - base
         uniq, n = np.unique(deltas, axis=0, return_counts=True)
         for row, c in zip(map(tuple, uniq.tolist()), n):
             counts[row] = counts.get(row, 0) + int(c)
@@ -279,6 +281,41 @@ def test_no_event_creates_actives_from_nothing():
     assert traj.a.max() == 0.0
 
 
+@st.composite
+def replica_runs(draw, modes=(PAPER_LITERAL, FULL)):
+    """``simulate_replica`` arguments with dt from the stability bound."""
+    params, mode, logistic, init = draw(chain_models(modes))
+    # where the population cannot grow no count exceeds the total, so the
+    # bound at the total holds throughout; where it can, the bound leaves
+    # headroom and a run past it stops with StepSizeError
+    grows = mode == FULL and (logistic is not None or any(params.b > 0))
+    n_bound = 2 * init.total() + 10 if grows else max(init.total(), 1)
+    dt = max_stable_dt(params, n_bound, horizon=1.0, logistic=logistic)
+    n_epochs = draw(st.integers(100, 600))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return params, init, dt, n_epochs * dt, mode, seed, logistic
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(replica_runs())
+def test_counts_never_go_negative_on_random_chains(run):
+    params, init, dt, horizon, mode, seed, logistic = run
+    try:
+        traj = simulate_replica(params, init, dt, horizon, mode, seed=seed, logistic=logistic)
+    except StepSizeError:
+        assume(False)
+    assert min(traj.s.min(), traj.a.min(), traj.dd.min()) >= 0.0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(replica_runs((PAPER_LITERAL,)))
+def test_paper_literal_replicas_keep_the_initial_total_on_random_chains(run):
+    params, init, dt, horizon, mode, seed, _ = run
+    traj = simulate_replica(params, init, dt, horizon, mode, seed=seed)
+    totals = traj.s.sum(axis=1) + traj.a.sum(axis=1) + traj.dd.sum(axis=1)
+    np.testing.assert_array_equal(totals, np.full(totals.shape, float(init.total())))
+
+
 # --------------------------------------------------------------- ensembles
 
 
@@ -319,29 +356,6 @@ def test_ensemble_mean_and_spread_match_per_replica_streams():
     ])
     np.testing.assert_allclose(mc.a, stack_a.mean(axis=0), atol=1e-12)
     np.testing.assert_allclose(mc.sd_a, stack_a.std(axis=0, ddof=1), atol=1e-12)
-
-
-def test_thread_count_does_not_change_the_ensemble(monkeypatch):
-    p = single_group_params()
-    results = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("DIFFUSION_THREADS", threads)
-        mc = monte_carlo_mean(p, small_init(), 0.05, 10.0, PAPER_LITERAL,
-                              n_replicas=500, seed=31415)
-        results.append(mc)
-    np.testing.assert_array_equal(results[0].s, results[1].s)
-    np.testing.assert_array_equal(results[0].a, results[1].a)
-    np.testing.assert_array_equal(results[0].dd, results[1].dd)
-    np.testing.assert_array_equal(results[0].sd_a, results[1].sd_a)
-
-
-def test_bad_thread_setting_is_a_config_error(monkeypatch):
-    from diffusim.errors import ConfigError
-    p = single_group_params()
-    monkeypatch.setenv("DIFFUSION_THREADS", "lots")
-    with pytest.raises(ConfigError):
-        monte_carlo_mean(p, small_init(), 0.05, 1.0, PAPER_LITERAL,
-                         n_replicas=2, seed=1)
 
 
 def test_ensemble_error_shrinks_at_the_root_n_rate():

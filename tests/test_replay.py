@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import single_group_params, two_group_params
+from conftest import chain_models, single_group_params, two_group_params
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +51,7 @@ def step_epochs(params, mode, logistic, init, dt, n_epochs, seeds, *,
     p = eng.make_buffers(n)
     q = np.empty_like(p)
     for epoch in range(n_epochs):
-        eng.fill_probabilities(state, s, a, dd, p)
+        eng.fill_probabilities(state, p)
         np.cumsum(p, axis=1, out=q)
         if np.any(q[running, -1] > 1.0):
             raise StepSizeError(f"epoch {epoch}")
@@ -67,30 +67,29 @@ def step_epochs(params, mode, logistic, init, dt, n_epochs, seeds, *,
 
 
 def assert_replay_matches_stepper(params, mode, logistic, init, dt, n_epochs, seeds, stride,
-                                  *, want_traj=True, want_moments=True, want_final=True,
-                                  want_extinction=True, stop_when_extinct=False):
-    kwargs = dict(stride=stride, stop_when_extinct=stop_when_extinct)
+                                  *, moments=False):
+    """Replay at ``stride`` (0: first passage) must match the stepper exactly."""
     try:
-        traj, ext, final = step_epochs(params, mode, logistic, init, dt, n_epochs, seeds, **kwargs)
+        traj, ext, final = step_epochs(params, mode, logistic, init, dt, n_epochs, seeds,
+                                       stride=stride, stop_when_extinct=(stride == 0))
     except StepSizeError:
         with pytest.raises(StepSizeError):
-            _run_replicas(params, mode, logistic, init, dt, n_epochs, seeds, want_traj=want_traj,
-                          want_moments=want_moments, want_final=want_final,
-                          want_extinction=want_extinction, **kwargs)
+            _run_replicas(params, mode, logistic, init, dt, n_epochs, seeds,
+                          stride=stride, moments=moments)
         return False
-    out = _run_replicas(params, mode, logistic, init, dt, n_epochs, seeds, want_traj=want_traj,
-                        want_moments=want_moments, want_final=want_final,
-                        want_extinction=want_extinction, **kwargs)
-    if want_traj:
-        assert out.traj.dtype == np.int64
-        np.testing.assert_array_equal(out.traj, traj)
-    if want_moments:
+    out = _run_replicas(params, mode, logistic, init, dt, n_epochs, seeds,
+                        stride=stride, moments=moments)
+    if not stride:
+        assert out.traj is None and out.sums is None and out.sumsq is None
+    elif moments:
+        assert out.traj is None
         np.testing.assert_array_equal(out.sums, traj.sum(axis=0))
         np.testing.assert_array_equal(out.sumsq, np.square(traj).sum(axis=0))
-    if want_extinction:
-        np.testing.assert_array_equal(out.ext_epoch, ext)
-    if want_final:
-        np.testing.assert_array_equal(np.hstack(out.final), final)
+    else:
+        assert out.sums is None and out.traj.dtype == np.int64
+        np.testing.assert_array_equal(out.traj, traj)
+    np.testing.assert_array_equal(out.ext_epoch, ext)
+    np.testing.assert_array_equal(out.final, final)
     return True
 
 
@@ -102,7 +101,7 @@ def test_zero_uniform_never_fires_a_zero_probability_event():
     # first event with positive probability, activate(2)
     p = two_group_params(alpha=1.2)
     eng = _Engine(p, FULL, 1e-3, None)
-    q = np.cumsum(eng.probabilities(np.array([[0, 40]]), np.array([[3, 2]]), np.array([[1, 1]])), axis=1)
+    q = np.cumsum(eng.probabilities(np.array([[0, 40, 3, 2, 1, 1]])), axis=1)
     assert q[0, 0] == 0.0 and q[0, 1] > 0.0
     assert _select(q, np.array([0.0]))[0] == 1
 
@@ -110,7 +109,7 @@ def test_zero_uniform_never_fires_a_zero_probability_event():
 def test_selection_is_a_right_sided_search_at_every_bound():
     p = two_group_params(alpha=1.2)
     eng = _Engine(p, FULL, 1e-3, None)
-    q = np.cumsum(eng.probabilities(np.array([[7, 40]]), np.array([[3, 0]]), np.array([[0, 5]])), axis=1)
+    q = np.cumsum(eng.probabilities(np.array([[7, 40, 3, 0, 0, 5]])), axis=1)
     row = q[0]
     rng = np.random.default_rng(5)
     probes = np.concatenate([row, np.nextafter(row, -1.0), [0.0, 1.0 - 2**-53],
@@ -132,6 +131,7 @@ def test_replay_matches_the_stepper_over_many_seeds():
     init = DiscreteState(s=np.array([30, 42]), a=np.array([20, 8]), dd=np.zeros(2))
     seeds = [derive_replica_seed(2718, r) for r in range(300)]
     assert assert_replay_matches_stepper(p, FULL, None, init, 0.01, 601, seeds, 7)
+    assert assert_replay_matches_stepper(p, FULL, None, init, 0.01, 601, seeds, 7, moments=True)
 
 
 def test_replay_matches_the_stepper_with_logistic_coupling():
@@ -146,9 +146,8 @@ def test_replay_matches_the_stepper_when_stopping_at_extinction():
     p = single_group_params(alpha=0.8)
     init = DiscreteState(s=np.array([10]), a=np.array([2]), dd=np.array([8]))
     seeds = [derive_replica_seed(4, r) for r in range(64)]
-    assert assert_replay_matches_stepper(p, PAPER_LITERAL, None, init, 0.05, 2000, seeds, 3,
-                                         stop_when_extinct=True)
-    out = _run_replicas(p, PAPER_LITERAL, None, init, 0.05, 2000, seeds, want_extinction=True)
+    assert assert_replay_matches_stepper(p, PAPER_LITERAL, None, init, 0.05, 2000, seeds, 0)
+    out = _run_replicas(p, PAPER_LITERAL, None, init, 0.05, 2000, seeds)
     assert np.count_nonzero(out.ext_epoch > 0) > 32
 
 
@@ -157,50 +156,28 @@ def test_zero_epochs_return_the_initial_state():
     init = DiscreteState(s=np.array([10]), a=np.array([0]), dd=np.array([10]))
     seeds = [1, 2, 3]
     assert assert_replay_matches_stepper(p, PAPER_LITERAL, None, init, 0.05, 0, seeds, 1)
-    assert assert_replay_matches_stepper(p, PAPER_LITERAL, None, init, 0.05, 0, seeds, 1,
-                                         stop_when_extinct=True)
+    assert assert_replay_matches_stepper(p, PAPER_LITERAL, None, init, 0.05, 0, seeds, 0)
 
 
 @st.composite
 def chain_cases(draw):
-    m = draw(st.integers(1, 3))
-    mode = draw(st.sampled_from([PAPER_LITERAL, FULL]))
-    rate = st.one_of(st.just(0.0), st.floats(0.005, 0.4))
-    weight = st.one_of(st.just(0.0), st.floats(0.1, 1.0))
-    counts = st.lists(st.integers(0, 6), min_size=m, max_size=m)
-    s, a, dd = draw(counts), draw(counts), draw(counts)
-    total = sum(s) + sum(a) + sum(dd)
-    if mode == PAPER_LITERAL and total == 0:
-        s[0] = total = 1
-    params = ModelParams(
-        m=m,
-        n_total=float(total) if mode == PAPER_LITERAL else draw(st.floats(1.0, 40.0)),
-        alpha=draw(st.floats(0.0, 4.0)),
-        b=[draw(rate) for _ in range(m)], d=[draw(rate) for _ in range(m)],
-        rho=[draw(rate) for _ in range(m)], delta=[draw(rate) for _ in range(m)],
-        phi=[draw(rate) for _ in range(m)],
-        eps=[draw(weight) for _ in range(m)], gamma=[draw(weight) for _ in range(m)],
-    )
-    logistic = None
-    if mode == FULL and draw(st.booleans()):
-        logistic = LogisticConfig(enabled=True, growth_rate=draw(st.floats(0.0, 0.5)),
-                                  capacity=draw(st.floats(2.0, 40.0)))
+    params, mode, logistic, init = draw(chain_models())
     # up to 3x the conservative bound, so events are dense and some runs overload
-    dt = draw(st.floats(0.1, 3.0)) * max_stable_dt(params, max(total, 1), horizon=1.0)
+    dt = draw(st.floats(0.1, 3.0)) * max_stable_dt(params, max(init.total(), 1), horizon=1.0)
     n_epochs = draw(st.one_of(st.integers(0, 40), st.sampled_from([255, 256, 257, 600])))
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
-    flags = {name: draw(st.booleans()) for name in
-             ("want_traj", "want_moments", "want_final", "want_extinction", "stop_when_extinct")}
-    stride = draw(st.sampled_from([1, 2, 3, 64]))
-    return params, mode, logistic, DiscreteState(s=s, a=a, dd=dd), dt, n_epochs, seeds, stride, flags
+    stride = draw(st.sampled_from([0, 1, 2, 3, 64]))
+    moments = draw(st.booleans())
+    return params, mode, logistic, init, dt, n_epochs, seeds, stride, moments
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(chain_cases())
 def test_replay_matches_the_stepper_on_random_chains(case):
-    params, mode, logistic, init, dt, n_epochs, seeds, stride, flags = case
-    assert_replay_matches_stepper(params, mode, logistic, init, dt, n_epochs, seeds, stride, **flags)
+    params, mode, logistic, init, dt, n_epochs, seeds, stride, moments = case
+    assert_replay_matches_stepper(params, mode, logistic, init, dt, n_epochs, seeds, stride,
+                                  moments=moments)
 
 
 # ------------------------------------------- StepSizeError on the chain path

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 from conftest import random_params, two_group_params
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffusim import (
+    ModelParams,
     build_decomposition,
     calibrate_alpha,
     disease_free_equilibrium,
@@ -114,6 +117,30 @@ def test_calibration_round_trips_on_random_draws():
         target = float(rng.uniform(0.2, 5.0))
         alpha = calibrate_alpha(p, target)
         assert r0_rank_one(p.with_alpha(alpha)) == pytest.approx(target, rel=1e-10)
+
+
+@st.composite
+def calibration_cases(draw):
+    m = draw(st.integers(1, 4))
+
+    def vector(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=m, max_size=m))
+
+    # b, d, eps and gamma positive, so r0 at alpha = 1 is positive
+    p = ModelParams(
+        m=m, n_total=draw(st.floats(1.0, 1e4)), alpha=draw(st.floats(0.0, 10.0)),
+        b=vector(1e-3, 1.0), d=vector(1e-3, 1.0), rho=vector(0.0, 1.0),
+        delta=vector(0.0, 1.0), phi=vector(0.0, 1.0),
+        eps=vector(1e-3, 2.0), gamma=vector(1e-3, 2.0),
+    )
+    return p, draw(st.floats(1e-3, 1e3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(calibration_cases())
+def test_calibrated_alpha_hits_the_target_on_drawn_params(case):
+    p, target = case
+    assert r0_rank_one(p.with_alpha(calibrate_alpha(p, target))) == pytest.approx(target, rel=1e-12)
 
 
 def test_calibration_rejects_bad_targets():
