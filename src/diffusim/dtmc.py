@@ -40,7 +40,8 @@ Reproducibility contract:
   PCG64 seeding words are computed in one array pass; each generator is
   then the stream of ``PCG64(derive_replica_seed(seed, r))`` exactly.
 * Ensemble reductions are exact integer sums over fixed chunks of 256
-  replicas, combined in index order.
+  replicas, combined in index order. A single replica's trajectory is
+  the same sum over a one-replica batch.
 
 Replicas are advanced by event-driven replay rather than epoch by epoch.
 Between events the state, and with it q, is constant, so the next event
@@ -60,7 +61,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, NumericError, StepSizeError
@@ -454,7 +454,6 @@ def max_stable_dt(
 class _RunOutput:
     ext_epoch: np.ndarray                 # (replicas,) epochs until no actives, -1 if none
     final: np.ndarray                     # (replicas, 3m) last simulated state
-    traj: np.ndarray | None = None        # (replicas, samples, 3m) counts
     sums: np.ndarray | None = None        # (samples, 3m) int64 sum over replicas
     sumsq: np.ndarray | None = None       # (samples, 3m) int64 sum of squares
 
@@ -469,7 +468,6 @@ def _run_replicas(
     seeds: np.ndarray | list[int],
     *,
     stride: int = 0,
-    moments: bool = False,
     first_replica: int = 0,
 ) -> _RunOutput:
     """Replay a batch of replicas event by event, one uniform per epoch.
@@ -479,17 +477,17 @@ def _run_replicas(
     finds in each block the first epoch at or after the pointer whose
     uniform fires an event, applies that event and moves the pointer past
     it. A replica whose block holds no further event moves to the block's
-    end and draws the next block. Trajectories and moments are recorded
-    as per-sample differences and summed at the end.
+    end and draws the next block. Samples are recorded as per-sample
+    differences and summed at the end.
 
     ``stride`` chooses the run. With ``stride > 0`` every replica runs all
-    ``n_epochs`` and its state is sampled every ``stride`` epochs: as
-    per-replica trajectories in ``traj``, or with ``moments`` as the int64
-    sums over replicas of the samples and of their squares in ``sums`` and
-    ``sumsq``. With ``stride == 0`` nothing is sampled and the run is a
-    first passage: a replica stops at the epoch in which its actives run
-    out. Every run returns each replica's extinction epoch and its last
-    simulated state.
+    ``n_epochs`` and the state is sampled every ``stride`` epochs, as the
+    int64 sums over replicas of the samples and of their squares in
+    ``sums`` and ``sumsq``; for a one-replica batch ``sums`` is the
+    replica's trajectory. With ``stride == 0`` nothing is sampled and the
+    run is a first passage: a replica stops at the epoch in which its
+    actives run out. Every run returns each replica's extinction epoch and
+    its last simulated state.
 
     ``seeds`` are the replicas' 64-bit seeds (a sequence or uint64 array);
     replica i draws from ``PCG64(seeds[i])``. ``first_replica`` is the
@@ -510,14 +508,11 @@ def _run_replicas(
 
     out = _RunOutput(ext_epoch=ext, final=state)
     n_samples = (n_epochs // stride + 1) if stride else 0
-    if stride and moments:
+    if stride:
         out.sums = sums = np.zeros((n_samples, 3 * m), dtype=np.int64)
         out.sumsq = sumsq = np.zeros_like(sums)
         sums[0] = state.sum(axis=0)
         sumsq[0] = np.square(state).sum(axis=0)
-    elif stride:
-        out.traj = traj = np.zeros((n_rep, n_samples, 3 * m), dtype=np.int64)
-        traj[:, 0] = state
 
     # slot i runs replica rid[i]; its buffer row holds the uniforms of
     # epochs base[i] .. base[i] + block - 1, padded with 2.0 (never fires)
@@ -577,11 +572,8 @@ def _run_replicas(
             if stride:
                 k = -(-done // stride)  # first sample that includes the event
                 seen = k < n_samples
-                if moments:
-                    np.add.at(sums, k[seen], d[seen])
-                    np.add.at(sumsq, k[seen], (new * new - old * old)[seen])
-                else:
-                    traj[r[seen], k[seen]] += d[seen]
+                np.add.at(sums, k[seen], d[seen])
+                np.add.at(sumsq, k[seen], (new * new - old * old)[seen])
             gone = (ext[r] < 0) & (new[:, m : 2 * m].sum(axis=1) == 0)
             ext[r[gone]] = done[gone]
             if not stride:
@@ -611,11 +603,9 @@ def _run_replicas(
             hit = np.empty((n, block), dtype=bool)
             ahead = np.empty_like(hit)
 
-    if stride and moments:
+    if stride:
         np.cumsum(sums, axis=0, out=sums)
         np.cumsum(sumsq, axis=0, out=sumsq)
-    elif stride:
-        np.cumsum(traj, axis=1, out=traj)
     return out
 
 
@@ -676,7 +666,7 @@ def simulate_replica(
     n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every)
     out = _run_replicas(params, mode, logistic, init, dt, n_epochs, [value], stride=stride)
     m = params.m
-    tr = out.traj[0].astype(float)
+    tr = out.sums.astype(float)
     n_samples = tr.shape[0]
     times = np.arange(n_samples) * (stride * dt)
     return TrajectoryTable(times=times, s=tr[:, :m], a=tr[:, m : 2 * m], dd=tr[:, 2 * m :])
@@ -713,7 +703,7 @@ def monte_carlo_mean(
         res = _run_replicas(
             params, mode, logistic, init, dt, n_epochs,
             _replica_seeds(seed, lo, hi),
-            stride=stride, moments=True, first_replica=lo,
+            stride=stride, first_replica=lo,
         )
         sums = sums + res.sums
         sumsq = sumsq + res.sumsq
@@ -820,13 +810,14 @@ def _simplex_index(n: int, s, a):
     return s * (n + 1) - s * (s - 1) // 2 + a
 
 
-def _exact_kernel(params: ModelParams, n: int, dt: float) -> tuple[np.ndarray, scipy.sparse.csr_matrix]:
+def _exact_kernel(params: ModelParams, n: int, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """States (s, a) of the m = 1 paper_literal chain with N = n, and its kernel.
 
     One :class:`_Engine` call fills every state's event probabilities,
-    with the arithmetic of :func:`event_probabilities` row by row. Column
-    j holds state j's nonzero event entries in canonical order, then its
-    no_event entry on the diagonal.
+    with the arithmetic of :func:`event_probabilities` row by row. The
+    kernel is three arrays ``(row, col, val)``: column by column, state
+    j's nonzero event entries in canonical order, then its no_event entry
+    on the diagonal.
 
     Raises:
         StepSizeError: for the first state, in lexicographic order, whose
@@ -846,8 +837,7 @@ def _exact_kernel(params: ModelParams, n: int, dt: float) -> tuple[np.ndarray, s
     keep[:, -1] = True
     col, ev = np.nonzero(keep)
     row = _simplex_index(n, s[col] + eng.delta[ev, 0], a[col] + eng.delta[ev, 1])
-    kernel = scipy.sparse.csr_matrix((vals[keep], (row, col)), shape=(s.size, s.size))
-    return np.column_stack([s, a]), kernel
+    return np.column_stack([s, a]), row, col, vals[keep]
 
 
 def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_steps: int) -> ExactPropagation:
@@ -855,8 +845,10 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
 
     Builds the sparse one-epoch kernel (at most 5 nonzeros per column)
     over every reachable state {(s, a): s + a <= N} in one array pass
-    and applies it ``n_steps`` times to a point mass at ``init``. Runs in
-    paper_literal mode (constant N).
+    and applies it ``n_steps`` times to a point mass at ``init``. A step
+    is one ``np.bincount``, which adds each row's products in column
+    order from 0.0, as a CSR matvec does. Runs in paper_literal mode
+    (constant N).
 
     Raises:
         StepSizeError: if the summed event probability exceeds 1 at any
@@ -870,7 +862,7 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
     if n_steps < 0:
         raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
     n = init.total()
-    states, kernel = _exact_kernel(params, n, dt)
+    states, row, col, val = _exact_kernel(params, n, dt)
 
     p = np.zeros(states.shape[0])
     p[_simplex_index(n, int(init.s[0]), int(init.a[0]))] = 1.0
@@ -881,7 +873,7 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
     mass = np.empty(n_steps + 1)
     for step in range(n_steps + 1):
         if step > 0:
-            p = kernel @ p
+            p = np.bincount(row, weights=val * p[col], minlength=p.size)
         mass[step] = p.sum()
         if abs(mass[step] - 1.0) > 1e-12:
             raise NumericError(f"probability mass drifted to {mass[step]!r} at step {step}")

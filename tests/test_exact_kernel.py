@@ -1,10 +1,12 @@
 """The exact m = 1 law's one-pass kernel against a per-state build, byte for byte.
 
 The per-state build below is the oracle: it calls ``event_probabilities``
-once per state, looks destinations up in a dict and drops zero-probability
-events. The one-pass build must give the same sparse kernel (``indptr``,
-``indices`` and ``data``), the same propagated law, and the same
-``StepSizeError`` for an oversized dt.
+once per state, looks destinations up in a dict, drops zero-probability
+events and propagates with scipy's CSR matvec. The one-pass build's
+``(row, col, val)`` arrays, made into a CSR matrix, must give the same
+``indptr``, ``indices`` and ``data``; its ``np.bincount`` steps must give
+the same propagated law; and it must raise the same ``StepSizeError``
+for an oversized dt.
 """
 
 import re
@@ -83,9 +85,9 @@ def assert_same_law(params, init, dt, n_steps):
         with pytest.raises(StepSizeError, match=f"^{re.escape(str(err))}$"):
             exact_propagation(params, init, dt, n_steps)
         return
-    got_states, got_kernel = _exact_kernel(params, init.total(), dt)
+    got_states, row, col, val = _exact_kernel(params, init.total(), dt)
     assert_same_bytes(got_states, states)
-    assert got_kernel.shape == kernel.shape
+    got_kernel = scipy.sparse.csr_matrix((val, (row, col)), shape=kernel.shape)
     for name in ("indptr", "indices", "data"):
         assert_same_bytes(getattr(got_kernel, name), getattr(kernel, name))
 
@@ -131,13 +133,20 @@ def test_one_pass_kernel_matches_the_per_state_build_at_n_80():
     assert_same_law(p, init, 0.5 * max_stable_dt(p, 80), 40)
 
 
+def test_one_pass_law_matches_the_per_state_build_over_300_steps():
+    # a different addition order in a row would compound over the steps
+    p = m1_params(40, alpha=3.0, d=0.01, rho=0.1, delta=0.05, phi=0.04)
+    init = DiscreteState(s=[30], a=[4], dd=[6])
+    assert_same_law(p, init, 0.8 * max_stable_dt(p, 40), 300)
+
+
 def test_a_zero_no_event_entry_stays_in_the_kernel():
     # withdraw fires with probability exactly 1 at (s, a) = (1, 0), so its
     # no_event entry is an explicit 0.0 on the diagonal
     p = m1_params(1, alpha=0.0, d=0.0, rho=0.5, delta=0.25, phi=0.0)
     assert_same_law(p, DiscreteState(s=[1], a=[0], dd=[0]), 2.0, 3)
-    _, kernel = _exact_kernel(p, 1, 2.0)
-    assert kernel.nnz == 5
+    _, _, _, val = _exact_kernel(p, 1, 2.0)
+    assert val.size == 5
 
 
 def test_oversized_dt_fails_before_any_step():

@@ -2,7 +2,8 @@
 
 The stepper below is the oracle: it advances every replica through every
 epoch, drawing one uniform per epoch, and selects events with the same
-rule as replay. Replay must reproduce its trajectories, moments,
+rule as replay. Replay must reproduce its sample sums and sums of
+squares, each replica's trajectory (replayed as a one-replica batch),
 extinction epochs and final states exactly, and raise ``StepSizeError``
 for the same runs.
 """
@@ -66,28 +67,29 @@ def step_epochs(params, mode, logistic, init, dt, n_epochs, seeds, *,
     return traj, ext, state
 
 
-def assert_replay_matches_stepper(params, mode, logistic, init, dt, n_epochs, seeds, stride,
-                                  *, moments=False):
-    """Replay at ``stride`` (0: first passage) must match the stepper exactly."""
+def assert_replay_matches_stepper(params, mode, logistic, init, dt, n_epochs, seeds, stride):
+    """Replay at ``stride`` (0: first passage) must match the stepper exactly.
+
+    With ``stride > 0`` each seed is also replayed as its own one-replica
+    batch, whose ``sums`` must be that seed's trajectory.
+    """
     try:
         traj, ext, final = step_epochs(params, mode, logistic, init, dt, n_epochs, seeds,
                                        stride=stride, stop_when_extinct=(stride == 0))
     except StepSizeError:
         with pytest.raises(StepSizeError):
-            _run_replicas(params, mode, logistic, init, dt, n_epochs, seeds,
-                          stride=stride, moments=moments)
+            _run_replicas(params, mode, logistic, init, dt, n_epochs, seeds, stride=stride)
         return False
-    out = _run_replicas(params, mode, logistic, init, dt, n_epochs, seeds,
-                        stride=stride, moments=moments)
+    out = _run_replicas(params, mode, logistic, init, dt, n_epochs, seeds, stride=stride)
     if not stride:
-        assert out.traj is None and out.sums is None and out.sumsq is None
-    elif moments:
-        assert out.traj is None
+        assert out.sums is None and out.sumsq is None
+    else:
+        assert out.sums.dtype == np.int64 and out.sumsq.dtype == np.int64
         np.testing.assert_array_equal(out.sums, traj.sum(axis=0))
         np.testing.assert_array_equal(out.sumsq, np.square(traj).sum(axis=0))
-    else:
-        assert out.sums is None and out.traj.dtype == np.int64
-        np.testing.assert_array_equal(out.traj, traj)
+        for seed, want in zip(seeds, traj):
+            one = _run_replicas(params, mode, logistic, init, dt, n_epochs, [seed], stride=stride)
+            np.testing.assert_array_equal(one.sums, want)
     np.testing.assert_array_equal(out.ext_epoch, ext)
     np.testing.assert_array_equal(out.final, final)
     return True
@@ -131,7 +133,6 @@ def test_replay_matches_the_stepper_over_many_seeds():
     init = DiscreteState(s=np.array([30, 42]), a=np.array([20, 8]), dd=np.zeros(2))
     seeds = [derive_replica_seed(2718, r) for r in range(300)]
     assert assert_replay_matches_stepper(p, FULL, None, init, 0.01, 601, seeds, 7)
-    assert assert_replay_matches_stepper(p, FULL, None, init, 0.01, 601, seeds, 7, moments=True)
 
 
 def test_replay_matches_the_stepper_with_logistic_coupling():
@@ -167,17 +168,14 @@ def chain_cases(draw):
     n_epochs = draw(st.one_of(st.integers(0, 40), st.sampled_from([255, 256, 257, 600])))
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
     stride = draw(st.sampled_from([0, 1, 2, 3, 64]))
-    moments = draw(st.booleans())
-    return params, mode, logistic, init, dt, n_epochs, seeds, stride, moments
+    return params, mode, logistic, init, dt, n_epochs, seeds, stride
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(chain_cases())
 def test_replay_matches_the_stepper_on_random_chains(case):
-    params, mode, logistic, init, dt, n_epochs, seeds, stride, moments = case
-    assert_replay_matches_stepper(params, mode, logistic, init, dt, n_epochs, seeds, stride,
-                                  moments=moments)
+    assert_replay_matches_stepper(*case)
 
 
 # ------------------------------------------- StepSizeError on the chain path
