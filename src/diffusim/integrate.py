@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .logistic import LogisticConfig
-from .model import ContinuousState, ModelParams, _flow, _rk4_step
+from .model import ContinuousState, ModelParams, _kernel
 from .trajectory import TrajectoryTable
 
 __all__ = [
@@ -91,7 +91,7 @@ def integrate(
     n_steps = int(np.floor(cfg.horizon / h + 1e-9))
     n_samples = n_steps // stride + 1
 
-    f = _flow(params, logistic)
+    flow, rk4 = _kernel(params, logistic)
     m = params.m
     y = [*init.s.tolist(), *init.a.tolist(), *init.dd.tolist()]
     out = np.empty((n_samples, 3 * m))
@@ -101,7 +101,7 @@ def integrate(
     # one try for the whole loop: a logistic stage's DomainError is a step-size failure
     try:
         for j in range(1, n_steps + 1):
-            y = _rk4_step(f, y, h)
+            y = rk4(y, flow(*y), h)
             # every component is checked before the clamp, so a nan is never
             # clamped to 0 (a finiteness check on sum(y) could overflow)
             if not all(map(math.isfinite, y)):

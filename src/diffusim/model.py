@@ -15,9 +15,10 @@ applied to every compartment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from operator import mul
+from types import CodeType
 from typing import Callable
 
 import numpy as np
@@ -209,7 +210,8 @@ def ode_rhs(params: ModelParams, state: ContinuousState) -> tuple[np.ndarray, np
     """
     if state.m != params.m:
         raise DomainError(f"state has {state.m} groups, params expect {params.m}")
-    dy = np.array(_flow(params)([*state.s.tolist(), *state.a.tolist(), *state.dd.tolist()]))
+    flow, _ = _kernel(params)
+    dy = np.array(flow(*state.s.tolist(), *state.a.tolist(), *state.dd.tolist()))
     m = params.m
     return dy[:m], dy[m : 2 * m], dy[2 * m :]
 
@@ -218,85 +220,117 @@ def _population_error(n: float) -> DomainError:
     return DomainError(f"population must be nonnegative and finite, got {n!r}")
 
 
-def _flow(params: ModelParams, logistic=None) -> Callable[[list[float]], list[float]]:
-    """The flow on the flat list y = s + a + dd, as a function of y alone.
+@functools.lru_cache
+def _kernel_code(m: int, logistic: bool) -> CodeType:
+    """The compiled flow and RK4 step for m groups, as one module.
 
-    The rates become lists of Python floats once, here, and the returned
-    function does scalar arithmetic only: for the few groups the model is
-    used with this is several times cheaper than numpy calls on length-m
-    arrays (with constant coupling the crossover is near m = 24). Each
-    component is evaluated left to right as written in :func:`ode_rhs`,
-    with the activation term as ((alpha / N) (gamma . a)) eps_i s_i. With ``logistic`` enabled (a
-    :class:`~diffusim.logistic.LogisticConfig`), births r N / m per group,
-    the death rate r N / K and the activation denominator N follow the
-    live population N = sum(y), as in
+    Running it defines ``flow(y0, ..., y_{3m-1})``, straight-line scalar
+    arithmetic that returns the derivative of the flat state s + a + dd
+    as a list, and ``make_step(flow)``, which returns ``step(y, k1, h)``:
+    one classic RK4 step of size h from y, given ``k1 = flow(*y)``. The
+    source holds only identifiers and integer indices, so no input text
+    reaches ``exec``; every rate is a global name (``eps_0``,
+    ``d_rho_1``, ...) that the module unpacks from the per-rate lists of
+    floats :func:`_kernel` binds per call.
+
+    Each component is evaluated left to right as written in
+    :func:`ode_rhs`, the activation term as ((alpha / N) (gamma . a))
+    eps_i s_i. Every sum is ``sum()`` over a flat tuple display, not a
+    chain of ``+``: it rounds as ``sum()`` does on every CPython, and
+    nests no deeper as m grows.
+    """
+    ys = [f"y{k}" for k in range(3 * m)]
+    s, a, dd = ys[:m], ys[m : 2 * m], ys[2 * m :]
+    weighted = ", ".join(f"gamma_{i} * {a[i]}" for i in range(m))
+    if logistic:
+        head = [
+            f"n = sum(({', '.join(ys)},))",
+            "if not 0.0 <= n < inf:",
+            "    raise population_error(n)",
+            "b = growth * n / m",
+            "d = growth * n / capacity",
+            # an empty population has no activation anyway; keep the denominator valid
+            f"w = alpha / (n if n > 0 else n_ref) * sum(({weighted},))",
+        ]
+    else:
+        head = [f"w = scale * sum(({weighted},))"]
+    head += [f"act{i} = w * eps_{i} * {s[i]}" for i in range(m)]
+
+    def birth(i: int) -> str:
+        return "b" if logistic else f"b_{i}"
+
+    def loss(rate: str, i: int) -> str:
+        # d plus a rate: the live d under logistic coupling, else folded in by _kernel
+        return f"(d + {rate}_{i})" if logistic else f"d_{rate}_{i}"
+
+    out = (
+        [f"{birth(i)} - act{i} - {loss('rho', i)} * {s[i]} + delta_{i} * {dd[i]}" for i in range(m)]
+        + [f"act{i} - {loss('phi', i)} * {a[i]}" for i in range(m)]
+        + [f"phi_{i} * {a[i]} + rho_{i} * {s[i]} - {loss('delta', i)} * {dd[i]}" for i in range(m)]
+    )
+
+    def names(k: str) -> str:
+        return ", ".join(f"{k}{j}" for j in range(3 * m))
+
+    def stage(h: str, k: str) -> str:
+        return f"flow({', '.join(f'{y} + {h} * {k}{j}' for j, y in enumerate(ys))})"
+
+    rk4 = ", ".join(f"{y} + h6 * (p{j} + 2.0 * q{j} + 2.0 * r{j} + u{j})" for j, y in enumerate(ys))
+    rates = ["gamma", "eps", "rho", "delta", "phi"]
+    if not logistic:
+        rates += ["b", "d_rho", "d_phi", "d_delta"]
+    lines = [
+        # each rate arrives as a list of m floats and is unpacked into m globals
+        *(f"{', '.join(f'{k}_{i}' for i in range(m))}, = {k}" for k in rates),
+        f"def flow({', '.join(ys)}):",
+        *(f"    {line}" for line in head),
+        f"    return [{', '.join(out)}]",
+        "def make_step(flow):",
+        "    def step(y, k1, h):",
+        f"        {', '.join(ys)} = y",
+        f"        {names('p')} = k1",
+        "        hh = 0.5 * h",
+        f"        {names('q')} = {stage('hh', 'p')}",
+        f"        {names('r')} = {stage('hh', 'q')}",
+        f"        {names('u')} = {stage('h', 'r')}",
+        "        h6 = h / 6.0",
+        f"        return [{rk4}]",
+        "    return step",
+    ]
+    coupling = "logistic" if logistic else "constant"
+    return compile("\n".join(lines), f"<diffusim mean-field kernel, m={m}, {coupling}>", "exec")
+
+
+def _kernel(params: ModelParams, logistic=None) -> tuple[Callable, Callable]:
+    """``(flow, step)`` of :func:`_kernel_code`, with the rates bound as floats.
+
+    For the few groups the model is used with, scalar code is several
+    times cheaper than numpy calls on length-m arrays. With ``logistic``
+    enabled (a :class:`~diffusim.logistic.LogisticConfig`), births
+    r N / m per group, the death rate r N / K and the activation
+    denominator N follow the live population N = sum(y), as in
     :func:`~diffusim.logistic.effective_params_for_total`; a negative or
     non-finite N raises DomainError. Nothing else is validated.
     """
-    m, m2 = params.m, 2 * params.m
-    gamma = params.gamma.tolist()
-    alpha, n_ref = params.alpha, params.n_total
-
-    # two bodies, not one that branches per call: the constant one adds
-    # d to the other rates once, here, which makes it about a quarter faster
-    if logistic is None or not logistic.enabled:
-        scale = alpha / n_ref
-        rows = list(zip(*(v.tolist() for v in (
-            params.b, params.eps, params.d + params.rho, params.delta,
-            params.d + params.phi, params.phi, params.rho, params.d + params.delta,
-        ))))
-
-        def f(y: list[float]) -> list[float]:
-            w = scale * sum(map(mul, gamma, y[m:m2]))
-            out = y[:]
-            for i, (b, eps, d_rho, delta, d_phi, phi, rho, d_delta) in enumerate(rows):
-                s, a, dd = y[i], y[i + m], y[i + m2]
-                act = w * eps * s
-                out[i] = b - act - d_rho * s + delta * dd
-                out[i + m] = act - d_phi * a
-                out[i + m2] = phi * a + rho * s - d_delta * dd
-            return out
-
-        return f
-
-    growth, capacity = logistic.growth_rate, logistic.capacity
-    rows = list(zip(*(v.tolist() for v in (params.eps, params.rho, params.delta, params.phi))))
-
-    def f(y: list[float]) -> list[float]:
-        n = sum(y)
-        if not 0.0 <= n < math.inf:
-            raise _population_error(n)
-        b = growth * n / m
-        d = growth * n / capacity
-        # an empty population has no activation anyway; keep the denominator valid
-        w = alpha / (n if n > 0 else n_ref) * sum(map(mul, gamma, y[m:m2]))
-        out = y[:]
-        for i, (eps, rho, delta, phi) in enumerate(rows):
-            s, a, dd = y[i], y[i + m], y[i + m2]
-            act = w * eps * s
-            out[i] = b - act - (d + rho) * s + delta * dd
-            out[i + m] = act - (d + phi) * a
-            out[i + m2] = phi * a + rho * s - (d + delta) * dd
-        return out
-
-    return f
-
-
-def _rk4_step(
-    f: Callable[[list[float]], list[float]], y: list[float], h: float, k1: list[float] | None = None
-) -> list[float]:
-    """One classic fourth-order Runge-Kutta step of size h.
-
-    ``k1``, when given, must be f(y); it saves the first evaluation.
-    """
-    if k1 is None:
-        k1 = f(y)
-    hh = 0.5 * h
-    k2 = f([yi + hh * ki for yi, ki in zip(y, k1)])
-    k3 = f([yi + hh * ki for yi, ki in zip(y, k2)])
-    k4 = f([yi + h * ki for yi, ki in zip(y, k3)])
-    h6 = h / 6.0
-    return [yi + h6 * (p + 2.0 * q + 2.0 * r + u) for yi, p, q, r, u in zip(y, k1, k2, k3, k4)]
+    coupled = logistic is not None and logistic.enabled
+    rates = {"gamma": params.gamma, "eps": params.eps, "rho": params.rho,
+             "delta": params.delta, "phi": params.phi}
+    if coupled:
+        ns = {
+            "alpha": params.alpha, "n_ref": params.n_total, "m": params.m, "inf": math.inf,
+            "growth": logistic.growth_rate, "capacity": logistic.capacity,
+            "population_error": _population_error,
+        }
+    else:
+        # the constant flow adds d to the other rates once, here, not per stage
+        rates.update(b=params.b, d_rho=params.d + params.rho, d_phi=params.d + params.phi,
+                     d_delta=params.d + params.delta)
+        ns = {"scale": params.alpha / params.n_total}
+    ns.update((k, arr.tolist()) for k, arr in rates.items())
+    exec(_kernel_code(params.m, coupled), ns)
+    # popped, so that the namespace, which is their globals, holds no reference to them
+    flow = ns.pop("flow")
+    return flow, ns.pop("make_step")(flow)
 
 
 def disease_free_equilibrium(params: ModelParams) -> EquilibriumPoint:
@@ -343,22 +377,22 @@ def endemic_equilibrium(
     if float(seed_state.a.sum()) <= 0:
         raise DomainError("endemic search needs a seed with some active mass")
     m = params.m
-    f = _flow(params)
+    flow, rk4 = _kernel(params)
     y = [*seed_state.s.tolist(), *seed_state.a.tolist(), *seed_state.dd.tolist()]
     n_steps = int(math.floor(horizon / step + 1e-9))
     for j in range(1, n_steps + 1):
-        k1 = f(y)
+        k1 = flow(*y)
         # max() can pass over a nan, so a converged residual must also be finite
         if max(map(abs, k1)) < tol and all(map(math.isfinite, k1)):
             break
-        y = _rk4_step(f, y, step, k1)
+        y = rk4(y, k1, step)
         # checked before the clamp, as in integrate: the clamp would turn -inf into 0
         if not all(map(math.isfinite, y)):
             raise NumericError(f"state became non-finite at t = {j * step:g}")
         y = [0.0 if v < 0.0 else v for v in y]
     else:
         last = ContinuousState(t=n_steps * step, s=y[:m], a=y[m : 2 * m], dd=y[2 * m :])
-        residual = float(np.max(np.abs(f(y))))
+        residual = float(np.max(np.abs(flow(*y))))
         raise ConvergenceError(
             f"no stationary point within horizon {horizon} (residual "
             f"{residual:.3e} > tol {tol:.1e})",

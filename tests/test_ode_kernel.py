@@ -1,11 +1,23 @@
-"""The scalar mean-field kernel against the numpy flow it replaced.
+"""The generated mean-field kernel against the two kernels before it.
 
-The oracle below is the array implementation the package used before the
+The first oracle is the array implementation the package used before the
 scalar kernel: the flow on numpy vectors, a logistic coupling that
 rebuilds ``ModelParams`` for every RK4 stage, and the same step, clamp
 and sampling loop. ``integrate``, ``ode_rhs`` and ``endemic_equilibrium``
 must agree with it to rounding.
+
+The second oracle is the scalar list kernel that the generated one
+replaced, kept verbatim (``_flow`` and ``_rk4_step``). It performs the
+same operations in the same order, so the generated ``flow`` and ``step``
+must match it bit for bit, signed zeros included, and so must every
+``integrate`` and ``endemic_equilibrium`` result.
 """
+
+import gc
+import math
+import weakref
+from operator import mul
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -25,6 +37,8 @@ from diffusim import (
     integrate,
     ode_rhs,
 )
+from diffusim.errors import DomainError
+from diffusim.model import _kernel, _population_error
 
 # ------------------------------------------------------------------- oracle
 
@@ -189,3 +203,210 @@ def test_endemic_point_matches_the_oracle_march():
         want = oracle_endemic(p, seed)
         assert got.kind == "endemic"
         assert_close(np.concatenate([got.s_star, got.a_star, got.d_star]), want, 1e-12)
+
+
+# -------------------------------------------------------- list-kernel oracle
+
+
+def _flow(params: ModelParams, logistic=None) -> Callable[[list[float]], list[float]]:
+    """The flow on the flat list y = s + a + dd, as a function of y alone.
+
+    The rates become lists of Python floats once, here, and the returned
+    function does scalar arithmetic only: for the few groups the model is
+    used with this is several times cheaper than numpy calls on length-m
+    arrays (with constant coupling the crossover is near m = 24). Each
+    component is evaluated left to right as written in :func:`ode_rhs`,
+    with the activation term as ((alpha / N) (gamma . a)) eps_i s_i. With ``logistic`` enabled (a
+    :class:`~diffusim.logistic.LogisticConfig`), births r N / m per group,
+    the death rate r N / K and the activation denominator N follow the
+    live population N = sum(y), as in
+    :func:`~diffusim.logistic.effective_params_for_total`; a negative or
+    non-finite N raises DomainError. Nothing else is validated.
+    """
+    m, m2 = params.m, 2 * params.m
+    gamma = params.gamma.tolist()
+    alpha, n_ref = params.alpha, params.n_total
+
+    # two bodies, not one that branches per call: the constant one adds
+    # d to the other rates once, here, which makes it about a quarter faster
+    if logistic is None or not logistic.enabled:
+        scale = alpha / n_ref
+        rows = list(zip(*(v.tolist() for v in (
+            params.b, params.eps, params.d + params.rho, params.delta,
+            params.d + params.phi, params.phi, params.rho, params.d + params.delta,
+        ))))
+
+        def f(y: list[float]) -> list[float]:
+            w = scale * sum(map(mul, gamma, y[m:m2]))
+            out = y[:]
+            for i, (b, eps, d_rho, delta, d_phi, phi, rho, d_delta) in enumerate(rows):
+                s, a, dd = y[i], y[i + m], y[i + m2]
+                act = w * eps * s
+                out[i] = b - act - d_rho * s + delta * dd
+                out[i + m] = act - d_phi * a
+                out[i + m2] = phi * a + rho * s - d_delta * dd
+            return out
+
+        return f
+
+    growth, capacity = logistic.growth_rate, logistic.capacity
+    rows = list(zip(*(v.tolist() for v in (params.eps, params.rho, params.delta, params.phi))))
+
+    def f(y: list[float]) -> list[float]:
+        n = sum(y)
+        if not 0.0 <= n < math.inf:
+            raise _population_error(n)
+        b = growth * n / m
+        d = growth * n / capacity
+        # an empty population has no activation anyway; keep the denominator valid
+        w = alpha / (n if n > 0 else n_ref) * sum(map(mul, gamma, y[m:m2]))
+        out = y[:]
+        for i, (eps, rho, delta, phi) in enumerate(rows):
+            s, a, dd = y[i], y[i + m], y[i + m2]
+            act = w * eps * s
+            out[i] = b - act - (d + rho) * s + delta * dd
+            out[i + m] = act - (d + phi) * a
+            out[i + m2] = phi * a + rho * s - (d + delta) * dd
+        return out
+
+    return f
+
+
+def _rk4_step(
+    f: Callable[[list[float]], list[float]], y: list[float], h: float, k1: list[float] | None = None
+) -> list[float]:
+    """One classic fourth-order Runge-Kutta step of size h.
+
+    ``k1``, when given, must be f(y); it saves the first evaluation.
+    """
+    if k1 is None:
+        k1 = f(y)
+    hh = 0.5 * h
+    k2 = f([yi + hh * ki for yi, ki in zip(y, k1)])
+    k3 = f([yi + hh * ki for yi, ki in zip(y, k2)])
+    k4 = f([yi + h * ki for yi, ki in zip(y, k3)])
+    h6 = h / 6.0
+    return [yi + h6 * (p + 2.0 * q + 2.0 * r + u) for yi, p, q, r, u in zip(y, k1, k2, k3, k4)]
+
+
+def list_integrate(params, init, cfg, logistic=None, n_steps=None):
+    """``integrate``'s march on the list kernel: sampled rows and the clamp count."""
+    f = _flow(params, logistic)
+    stride = int(round(cfg.sample_every / cfg.step))
+    if n_steps is None:
+        n_steps = int(math.floor(cfg.horizon / cfg.step + 1e-9))
+    y = [*init.s.tolist(), *init.a.tolist(), *init.dd.tolist()]
+    rows, clamped = [y], 0
+    for j in range(1, n_steps + 1):
+        y = _rk4_step(f, y, cfg.step)
+        assert all(map(math.isfinite, y))
+        if min(y) < 0.0:
+            clamped += 1
+            y = [0.0 if v < 0.0 else v for v in y]
+        if j % stride == 0:
+            rows.append(y)
+    return np.array(rows), clamped
+
+
+def list_endemic(params, seed_state, tol=1e-9, step=0.05, horizon=2e4):
+    """``endemic_equilibrium``'s march on the list kernel: the point reached."""
+    f = _flow(params)
+    y = [*seed_state.s.tolist(), *seed_state.a.tolist(), *seed_state.dd.tolist()]
+    for _ in range(int(math.floor(horizon / step + 1e-9))):
+        k1 = f(y)
+        if max(map(abs, k1)) < tol and all(map(math.isfinite, k1)):
+            return np.array(y)
+        y = [0.0 if v < 0.0 else v for v in _rk4_step(f, y, step, k1)]
+    raise AssertionError("list march did not converge")
+
+
+def hexes(call) -> list[str] | str:
+    """The float.hex of each value ``call()`` returns, or its DomainError."""
+    try:
+        return [v.hex() for v in call()]
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def fast_params() -> ModelParams:
+    """Faster turnover than table2, so endemic marches converge in a few thousand steps."""
+    base = two_group_params()
+    return ModelParams(m=2, n_total=100.0, alpha=1.0, b=0.1, d=0.1, rho=0.3, delta=0.3,
+                       phi=0.2, eps=base.eps, gamma=base.gamma)
+
+
+def seeded(params: ModelParams, r0: float, fraction: float) -> tuple[ModelParams, ContinuousState]:
+    p = params.with_alpha(calibrate_alpha(params, r0))
+    eq = disease_free_equilibrium(p)
+    return p, ContinuousState(t=0.0, s=(1 - fraction) * eq.s_star, a=fraction * eq.s_star, dd=eq.d_star)
+
+
+# ---------------------------------------------------- generated-kernel tests
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scenario=scenarios(), data=st.data())
+def test_generated_flow_and_step_match_the_list_kernel_bit_for_bit(scenario, data):
+    params, _, logistic = scenario
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 100.0))
+    y = data.draw(st.lists(value, min_size=3 * params.m, max_size=3 * params.m))
+    h = data.draw(st.floats(0.0, 2.0))
+    f = _flow(params, logistic)
+    flow, step = _kernel(params, logistic)
+    assert hexes(lambda: flow(*y)) == hexes(lambda: f(y))
+    assert hexes(lambda: step(y, flow(*y), h)) == hexes(lambda: _rk4_step(f, y, h))
+
+
+@pytest.mark.parametrize("r0", [0.9, 2.3])
+@pytest.mark.parametrize("coupled", [False, True])
+@pytest.mark.parametrize("scenario", ["table2", "fast"])
+def test_integrate_equals_the_list_kernel_march(scenario, coupled, r0):
+    base = two_group_params() if scenario == "table2" else fast_params()
+    p, init = seeded(base, r0, 0.05)
+    logistic = LogisticConfig(enabled=True, growth_rate=0.5, capacity=150.0) if coupled else None
+    cfg = IntegrationConfig(step=0.05, horizon=100.0, sample_every=0.5)
+    want, clamped = list_integrate(p, init, cfg, logistic)
+    traj = integrate(p, init, cfg, logistic=logistic)
+    assert traj.clamped_steps == clamped
+    np.testing.assert_array_equal(flat(traj), want)
+
+
+@pytest.mark.parametrize("scenario, r0", [("table2", 2.3), ("fast", 1.4), ("fast", 4.9)])
+def test_endemic_point_equals_the_list_kernel_march(scenario, r0):
+    base = two_group_params() if scenario == "table2" else fast_params()
+    p, seed = seeded(base, r0, 0.01 if scenario == "table2" else 0.1)
+    got = endemic_equilibrium(p, seed)
+    np.testing.assert_array_equal(np.concatenate([got.s_star, got.a_star, got.d_star]), list_endemic(p, seed))
+
+
+def test_thousand_group_logistic_kernel_compiles_and_matches_the_list_kernel():
+    # 3,300 terms in the population sum: a chain of + this long would
+    # exceed the compiler's recursion limit
+    m = 1100
+    rng = np.random.default_rng(11)
+    p = ModelParams(m=m, n_total=5000.0, alpha=2.0, b=0.0, d=0.0, rho=rng.uniform(0.0, 0.3, m),
+                    delta=rng.uniform(0.0, 0.3, m), phi=rng.uniform(0.0, 0.3, m),
+                    eps=rng.uniform(0.0, 1.0, m), gamma=rng.uniform(0.0, 1.0, m))
+    init = ContinuousState(t=0.0, s=rng.uniform(0.0, 4.0, m), a=rng.uniform(0.0, 1.0, m),
+                           dd=rng.uniform(0.0, 1.0, m))
+    logistic = LogisticConfig(enabled=True, growth_rate=0.5, capacity=6000.0)
+    cfg = IntegrationConfig(step=0.05, horizon=0.2, sample_every=0.05)
+    traj = integrate(p, init, cfg, logistic=logistic)
+    want, _ = list_integrate(p, init, cfg, logistic)
+    np.testing.assert_array_equal(flat(traj), want)
+
+
+@pytest.mark.parametrize("coupled", [False, True])
+def test_kernel_functions_die_with_their_last_reference(coupled):
+    # with the collector off, only reference counting frees them: a
+    # cycle through their globals would keep every call's rates alive
+    logistic = LogisticConfig(enabled=True) if coupled else None
+    gc.collect()
+    gc.disable()
+    try:
+        flow, step = _kernel(two_group_params(), logistic)
+        refs = weakref.ref(flow), weakref.ref(step)
+        del flow, step
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
