@@ -1,10 +1,12 @@
 """Command line front end.
 
 Every subcommand reads a scenario file (``--config``, a path or the
-name of a bundled scenario such as ``table2``) and writes CSV to
-``--out``, the config's ``out`` path, or stdout. Exit codes: 0 on
-success, 2 for configuration and domain errors, 3 for numeric failures
-(step size too large, non-finite state, no convergence).
+name of a bundled scenario such as ``table2``) and takes only the flags
+it reads. ``r0`` and ``calibrate`` print a summary to stdout; the others
+write CSV to ``--out``, the config's ``out`` path, or stdout. Exit
+codes: 0 on success, 2 for configuration and domain errors, 3 for
+numeric failures (step size too large, non-finite state, no
+convergence).
 """
 
 from __future__ import annotations
@@ -38,47 +40,21 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="scenario file path or bundled name (e.g. table2)")
-    sub.add_argument("--out", help="output CSV path (default: config 'out', else stdout)")
-    sub.add_argument("--seed", type=int, help="override the master seed")
-    sub.add_argument("--replicas", type=int, help="override the ensemble size")
-    sub.add_argument("--dt", type=float, help="override the chain epoch length")
-    sub.add_argument("--horizon", type=float, help="override the simulated time span")
+# flag -> add_argument keywords; each subcommand takes the flags it reads
+_FLAGS: dict[str, dict] = {
+    "--out": dict(help="output CSV path (default: config 'out', else stdout)"),
+    "--horizon": dict(type=float, help="override the simulated time span"),
+    "--seed": dict(type=int, help="override the master seed"),
+    "--replicas": dict(type=int, help="override the ensemble size"),
+    "--dt": dict(type=float, help="override the chain epoch length"),
+    "--target-r0": dict(type=float, help="target value (default: config target_r0)"),
+    "--r0-grid": dict(type=_float_list, required=True, help="comma-separated target R0 values"),
+    "--k-grid": dict(type=_float_list, required=True, help="comma-separated capacities"),
+}
+_CHAIN_FLAGS = ("--out", "--horizon", "--seed", "--replicas", "--dt")
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diffusim",
-        description="Simulate compartmental information diffusion in a grouped population.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("r0", help="print the basic reproduction number and its decomposition")
-    _add_common(sub)
-
-    sub = subs.add_parser("calibrate", help="solve for the activation scale that hits a target R0")
-    _add_common(sub)
-    sub.add_argument("--target-r0", type=float, help="target value (default: config target_r0)")
-
-    sub = subs.add_parser("run-ode", help="integrate the mean-field trajectories, write CSV")
-    _add_common(sub)
-
-    sub = subs.add_parser("run-dtmc", help="simulate the chain ensemble, write mean/spread CSV")
-    _add_common(sub)
-
-    sub = subs.add_parser("compare", help="mean-field vs chain ensemble on one sampling grid")
-    _add_common(sub)
-
-    sub = subs.add_parser("extinction-sweep", help="mean extinction time across target R0 values")
-    _add_common(sub)
-    sub.add_argument("--r0-grid", type=_float_list, required=True, help="comma-separated target R0 values")
-
-    sub = subs.add_parser("logistic-sweep", help="activity peaks across carrying capacities")
-    _add_common(sub)
-    sub.add_argument("--k-grid", type=_float_list, required=True, help="comma-separated capacities")
-
-    return parser
+# flag destination -> ScenarioConfig field it overrides
+_OVERRIDES = {"out": "out", "seed": "seed", "replicas": "n_replicas", "dt": "dt", "target_r0": "target_r0"}
 
 
 def _resolved_params(cfg: ScenarioConfig) -> ModelParams:
@@ -88,12 +64,16 @@ def _resolved_params(cfg: ScenarioConfig) -> ModelParams:
     return cfg.params.with_alpha(calibrate_alpha(cfg.params, cfg.target_r0))
 
 
-def _auto_dt(params: ModelParams, cfg: ScenarioConfig, sample_every: float) -> float:
-    """Epoch length: the largest divisor of sample_every that is provably stable.
+def _chain_dt(params: ModelParams, cfg: ScenarioConfig) -> float:
+    """Epoch length: the scenario's dt, else the largest provably stable
+    divisor of sample_every.
 
     The bound is max_stable_dt at the initial population size, with the
     scenario's logistic coupling when it is enabled.
     """
+    if cfg.dt is not None:
+        return cfg.dt
+    sample_every = cfg.integration.sample_every
     total0 = float(cfg.s0.sum() + cfg.a0.sum() + cfg.d0.sum())
     n_cap = max(1, math.ceil(total0))
     bound = min(max_stable_dt(params, n_cap, logistic=cfg.logistic), sample_every)
@@ -101,7 +81,8 @@ def _auto_dt(params: ModelParams, cfg: ScenarioConfig, sample_every: float) -> f
     return sample_every / k
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(lines: list[str], out: str | None) -> None:
+    text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -109,118 +90,80 @@ def _emit(text: str, out: str | None) -> None:
         print(f"wrote {out}")
 
 
-def _traj_csv(traj: TrajectoryTable) -> str:
-    return "\n".join([traj.csv_header(), *traj.csv_rows()]) + "\n"
-
-
-def _cmd_r0(cfg: ScenarioConfig) -> int:
+def _cmd_r0(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
     params = _resolved_params(cfg)
     dec = build_decomposition(params)
-    print(f"alpha = {format_value(params.alpha)}")
-    print(f"R0 = {format_value(dec.r0)}")
+    lines = [f"alpha = {format_value(params.alpha)}", f"R0 = {format_value(dec.r0)}"]
     for label, mat in (("F", dec.f), ("V", dec.v), ("K", dec.k)):
-        print(f"{label} =")
-        for row in mat:
-            print("  " + "  ".join(format_value(v) for v in row))
-    return 0
+        lines.append(f"{label} =")
+        lines += ["  " + "  ".join(format_value(v) for v in row) for row in mat]
+    return lines
 
 
-def _cmd_calibrate(cfg: ScenarioConfig, target_r0: float | None) -> int:
-    if target_r0 is None:
-        target_r0 = cfg.target_r0
-    if target_r0 is None:
+def _cmd_calibrate(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
+    if cfg.target_r0 is None:
         raise ConfigError("calibrate needs --target-r0 or a target_r0 config entry")
-    alpha = calibrate_alpha(cfg.params, target_r0)
-    print(f"target_r0 = {format_value(target_r0)}")
-    print(f"alpha = {format_value(alpha)}")
+    alpha = calibrate_alpha(cfg.params, cfg.target_r0)
     check = r0_rank_one(cfg.params.with_alpha(alpha))
-    print(f"achieved_r0 = {format_value(check)}")
-    return 0
+    return [
+        f"target_r0 = {format_value(cfg.target_r0)}",
+        f"alpha = {format_value(alpha)}",
+        f"achieved_r0 = {format_value(check)}",
+    ]
 
 
-def _cmd_run_ode(cfg: ScenarioConfig, out: str | None) -> int:
-    params = _resolved_params(cfg)
-    traj = integrate(params, cfg.continuous_init(), cfg.integration, logistic=cfg.logistic)
-    _emit(_traj_csv(traj), out)
-    return 0
-
-
-def _chain_settings(cfg: ScenarioConfig, params: ModelParams, dt_flag: float | None) -> tuple[float, float, float]:
-    sample_every = cfg.integration.sample_every
-    dt = dt_flag if dt_flag is not None else cfg.dt
-    if dt is None:
-        dt = _auto_dt(params, cfg, sample_every)
-    return dt, cfg.integration.horizon, sample_every
-
-
-def _ensemble(
-    cfg: ScenarioConfig, params: ModelParams, n_replicas: int, seed: int, dt_flag: float | None
-) -> TrajectoryTable:
-    dt, horizon, sample_every = _chain_settings(cfg, params, dt_flag)
+def _ensemble(cfg: ScenarioConfig, params: ModelParams) -> TrajectoryTable:
     return monte_carlo_mean(
-        params, cfg.discrete_init(), dt, horizon, cfg.mode,
-        n_replicas=n_replicas, seed=seed, sample_every=sample_every, logistic=cfg.logistic,
+        params, cfg.discrete_init(), _chain_dt(params, cfg), cfg.integration.horizon, cfg.mode,
+        n_replicas=cfg.n_replicas, seed=cfg.seed,
+        sample_every=cfg.integration.sample_every, logistic=cfg.logistic,
     )
 
 
-def _cmd_run_dtmc(cfg: ScenarioConfig, out: str | None, n_replicas: int, seed: int, dt_flag: float | None) -> int:
-    traj = _ensemble(cfg, _resolved_params(cfg), n_replicas, seed, dt_flag)
-    _emit(_traj_csv(traj), out)
-    return 0
+def _cmd_run_ode(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
+    ode = integrate(_resolved_params(cfg), cfg.continuous_init(), cfg.integration, logistic=cfg.logistic)
+    return [ode.csv_header(), *ode.csv_rows()]
 
 
-def _cmd_compare(cfg: ScenarioConfig, out: str | None, n_replicas: int, seed: int, dt_flag: float | None) -> int:
+def _cmd_run_dtmc(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
+    mc = _ensemble(cfg, _resolved_params(cfg))
+    return [mc.csv_header(), *mc.csv_rows()]
+
+
+def _cmd_compare(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
     params = _resolved_params(cfg)
     ode = integrate(params, cfg.continuous_init(), cfg.integration, logistic=cfg.logistic)
-    mc = _ensemble(cfg, params, n_replicas, seed, dt_flag)
+    mc = _ensemble(cfg, params)
     if ode.times.shape != mc.times.shape:
         raise NumericError(
             f"sampling grids disagree: {ode.times.shape[0]} mean-field rows vs "
             f"{mc.times.shape[0]} ensemble rows"
         )
-    m = params.m
-    groups = [str(i) for i in range(1, m + 1)]
-    header = ",".join(
-        ["time"]
-        + [f"ode_{c}_{g}" for c in ("S", "A", "D") for g in groups]
-        + [f"mc_{c}_{g}" for c in ("S", "A", "D") for g in groups]
-        + [f"sd_{c}_{g}" for c in ("S", "A", "D") for g in groups]
-    )
-    lines = [header]
-    for k, t in enumerate(ode.times):
-        cells = [format_value(t)]
-        for block in (ode.s, ode.a, ode.dd, mc.s, mc.a, mc.dd, mc.sd_s, mc.sd_a, mc.sd_dd):
-            cells.extend(format_value(v) for v in block[k])
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", out)
-    return 0
+    cols = ode.csv_header().split(",")[1:]
+    header = ",".join(["time"] + [f"{tag}_{c}" for tag in ("ode", "mc", "sd") for c in cols])
+    # each row keeps the mean-field time cell and drops the ensemble's
+    return [header] + [f"{o},{c.partition(',')[2]}" for o, c in zip(ode.csv_rows(), mc.csv_rows())]
 
 
-def _cmd_extinction_sweep(
-    cfg: ScenarioConfig, out: str | None, n_replicas: int, seed: int,
-    dt_flag: float | None, r0_grid: list[float],
-) -> int:
+def _cmd_extinction_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
     lines = ["r0,alpha,mean_extinction_time,sd_extinction_time,n_extinct,n_censored"]
-    for target in r0_grid:
+    for target in args.r0_grid:
         alpha = calibrate_alpha(cfg.params, target)
         params = cfg.params.with_alpha(alpha)
-        dt, horizon, _ = _chain_settings(cfg, params, dt_flag)
         summary = extinction_time_stochastic(
-            params, cfg.discrete_init(), dt, horizon, cfg.mode,
-            n_replicas=n_replicas, seed=seed, logistic=cfg.logistic,
+            params, cfg.discrete_init(), _chain_dt(params, cfg), cfg.integration.horizon, cfg.mode,
+            n_replicas=cfg.n_replicas, seed=cfg.seed, logistic=cfg.logistic,
         )
         mean = "" if summary.mean is None else format_value(summary.mean)
         sd = "" if summary.spread is None else format_value(summary.spread)
-        n_extinct = n_replicas - summary.n_censored
         lines.append(
             f"{format_value(target)},{format_value(alpha)},{mean},{sd},"
-            f"{n_extinct},{summary.n_censored}"
+            f"{cfg.n_replicas - summary.n_censored},{summary.n_censored}"
         )
-    _emit("\n".join(lines) + "\n", out)
-    return 0
+    return lines
 
 
-def _cmd_logistic_sweep(cfg: ScenarioConfig, out: str | None, k_grid: list[float]) -> int:
+def _cmd_logistic_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
     params = _resolved_params(cfg)
     m = params.m
     groups = [str(i) for i in range(1, m + 1)]
@@ -228,57 +171,66 @@ def _cmd_logistic_sweep(cfg: ScenarioConfig, out: str | None, k_grid: list[float
         ["k", "alpha"] + [f"peak_A_{g}" for g in groups] + [f"t_peak_{g}" for g in groups]
     )
     lines = [header]
-    for capacity in k_grid:
+    for capacity in args.k_grid:
         logistic = dataclasses.replace(cfg.logistic, enabled=True, capacity=capacity)
         traj = integrate(params, cfg.continuous_init(), cfg.integration, logistic=logistic)
         peak_idx = np.argmax(traj.a, axis=0)
         peaks = [format_value(traj.a[peak_idx[i], i]) for i in range(m)]
         t_peaks = [format_value(traj.times[peak_idx[i]]) for i in range(m)]
         lines.append(",".join([format_value(capacity), format_value(params.alpha)] + peaks + t_peaks))
-    _emit("\n".join(lines) + "\n", out)
-    return 0
+    return lines
+
+
+_COMMANDS = (
+    ("r0", _cmd_r0, "print the basic reproduction number and its decomposition", ()),
+    ("calibrate", _cmd_calibrate, "solve for the activation scale that hits a target R0", ("--target-r0",)),
+    ("run-ode", _cmd_run_ode, "integrate the mean-field trajectories, write CSV", ("--out", "--horizon")),
+    ("run-dtmc", _cmd_run_dtmc, "simulate the chain ensemble, write mean/spread CSV", _CHAIN_FLAGS),
+    ("compare", _cmd_compare, "mean-field vs chain ensemble on one sampling grid", _CHAIN_FLAGS),
+    ("extinction-sweep", _cmd_extinction_sweep, "mean extinction time across target R0 values",
+     _CHAIN_FLAGS + ("--r0-grid",)),
+    ("logistic-sweep", _cmd_logistic_sweep, "activity peaks across carrying capacities",
+     ("--out", "--horizon", "--k-grid")),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="diffusim",
+        description="Simulate compartmental information diffusion in a grouped population.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, run, help_text, flags in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--config", required=True, help="scenario file path or bundled name (e.g. table2)")
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(run=run)
+    return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if args.horizon is not None:
-        integration = dataclasses.replace(cfg.integration, horizon=args.horizon)
-        cfg = dataclasses.replace(cfg, integration=integration)
-    out = args.out if args.out is not None else cfg.out
-    seed = args.seed if args.seed is not None else cfg.seed
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    n_replicas = args.replicas if args.replicas is not None else cfg.n_replicas
-    if n_replicas < 1:
-        raise ConfigError(f"replicas must be positive, got {n_replicas}")
-
-    if args.command == "r0":
-        return _cmd_r0(cfg)
-    if args.command == "calibrate":
-        return _cmd_calibrate(cfg, args.target_r0)
-    if args.command == "run-ode":
-        return _cmd_run_ode(cfg, out)
-    if args.command == "run-dtmc":
-        return _cmd_run_dtmc(cfg, out, n_replicas, seed, args.dt)
-    if args.command == "compare":
-        return _cmd_compare(cfg, out, n_replicas, seed, args.dt)
-    if args.command == "extinction-sweep":
-        return _cmd_extinction_sweep(cfg, out, n_replicas, seed, args.dt, args.r0_grid)
-    if args.command == "logistic-sweep":
-        return _cmd_logistic_sweep(cfg, out, args.k_grid)
-    raise ConfigError(f"unknown command {args.command!r}")  # pragma: no cover
+    given = {
+        field: getattr(args, dest)
+        for dest, field in _OVERRIDES.items()
+        if getattr(args, dest, None) is not None
+    }
+    if getattr(args, "horizon", None) is not None:
+        given["integration"] = dataclasses.replace(cfg.integration, horizon=args.horizon)
+    cfg = dataclasses.replace(cfg, **given)
+    # r0 and calibrate take no --out: their summary always goes to stdout
+    _emit(args.run(cfg, args), cfg.out if "out" in args else None)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, NumericError) else 2
 
 
 def console_main() -> None:

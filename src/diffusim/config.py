@@ -18,7 +18,6 @@ Keys, in canonical order (also the order :func:`render_config` writes):
     step                    ODE integrator step (default 0.01)
     horizon                 simulated time span (default 200.0)
     sample_every            output sampling interval (default 1.0)
-    extinction_threshold    activity cutoff for the ODE (default 0.001)
     dt                      chain epoch length (default: derived)
     n_replicas              ensemble size (default 100)
     mode                    "full" or "paper_literal" (default full)
@@ -42,7 +41,7 @@ from .dtmc import FULL, PAPER_LITERAL, DiscreteState
 from .errors import ConfigError, DomainError
 from .integrate import IntegrationConfig, _multiple_of
 from .logistic import LogisticConfig
-from .model import ContinuousState, ModelParams, _state_array
+from .model import ContinuousState, ModelParams, _fields_equal, _state_array
 
 __all__ = ["ScenarioConfig", "parse_config", "load_config", "render_config", "bundled_config"]
 
@@ -64,7 +63,6 @@ _REGISTRY: dict[str, tuple[str, object, bool]] = {
     "step": ("float", 0.01, False),
     "horizon": ("float", 200.0, False),
     "sample_every": ("float", 1.0, False),
-    "extinction_threshold": ("float", 1e-3, False),
     "dt": ("float", None, False),
     "n_replicas": ("int", 100, False),
     "mode": ("str", FULL, False),
@@ -101,23 +99,7 @@ class ScenarioConfig:
         # raises if any initial count is fractional
         return DiscreteState(s=self.s0, a=self.a0, dd=self.d0)
 
-    def __eq__(self, other):
-        if not isinstance(other, ScenarioConfig):
-            return NotImplemented
-        return (
-            self.params == other.params
-            and np.array_equal(self.s0, other.s0)
-            and np.array_equal(self.a0, other.a0)
-            and np.array_equal(self.d0, other.d0)
-            and self.integration == other.integration
-            and self.dt == other.dt
-            and self.n_replicas == other.n_replicas
-            and self.mode == other.mode
-            and self.seed == other.seed
-            and self.target_r0 == other.target_r0
-            and self.out == other.out
-            and self.logistic == other.logistic
-        )
+    __eq__ = _fields_equal
 
 
 def _parse_value(key: str, kind: str, text: str, lineno: int):
@@ -208,7 +190,6 @@ def parse_config(text: str) -> ScenarioConfig:
             step=get("step"),
             horizon=get("horizon"),
             sample_every=get("sample_every"),
-            extinction_threshold=get("extinction_threshold"),
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
@@ -302,7 +283,6 @@ def render_config(config: ScenarioConfig) -> str:
         f"step = {_fmt(config.integration.step)}",
         f"horizon = {_fmt(config.integration.horizon)}",
         f"sample_every = {_fmt(config.integration.sample_every)}",
-        f"extinction_threshold = {_fmt(config.integration.extinction_threshold)}",
     ]
     if config.dt is not None:
         lines.append(f"dt = {_fmt(config.dt)}")

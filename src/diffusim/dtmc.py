@@ -638,6 +638,17 @@ def _chain_setup(
     return n_epochs, _multiple_of(float(sample_every), dt, "sample_every/dt")
 
 
+def _check_seed(seed: int) -> int:
+    """``seed`` as a Python int; DomainError unless it is an integer in [0, 2^64)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if not 0 <= value <= _MASK64:
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    return value
+
+
 def simulate_replica(
     params: ModelParams,
     init: DiscreteState,
@@ -657,14 +668,9 @@ def simulate_replica(
     replica r of an ensemble run with master seed s is reproduced by
     ``seed=derive_replica_seed(s, r)``.
     """
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
-    if not 0 <= value <= _MASK64:
-        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    seed = _check_seed(seed)
     n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every)
-    out = _run_replicas(params, mode, logistic, init, dt, n_epochs, [value], stride=stride)
+    out = _run_replicas(params, mode, logistic, init, dt, n_epochs, [seed], stride=stride)
     m = params.m
     tr = out.sums.astype(float)
     n_samples = tr.shape[0]
@@ -697,6 +703,7 @@ def monte_carlo_mean(
     """
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
+    seed = _check_seed(seed)
     n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every)
     sums = sumsq = 0
     for lo, hi in _replica_chunks(n_replicas):
@@ -764,6 +771,7 @@ def extinction_time_stochastic(
     """
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
+    seed = _check_seed(seed)
     n_epochs, _ = _chain_setup(params, init, mode, dt, horizon)
     epochs = np.concatenate([
         _run_replicas(

@@ -39,15 +39,14 @@ def _multiple_of(big: float, small: float, names: str) -> int:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Step size, horizon, sampling cadence and extinction threshold."""
+    """Step size, horizon and sampling cadence."""
 
     step: float = 0.01
     horizon: float = 200.0
     sample_every: float = 1.0
-    extinction_threshold: float = 1e-3
 
     def __post_init__(self):
-        for name in ("step", "horizon", "sample_every", "extinction_threshold"):
+        for name in ("step", "horizon", "sample_every"):
             v = float(getattr(self, name))
             if not np.isfinite(v) or v <= 0:
                 raise DomainError(f"{name} must be positive and finite, got {v!r}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from types import CodeType
 from typing import Callable
 
@@ -34,6 +34,13 @@ __all__ = [
     "disease_free_equilibrium",
     "endemic_equilibrium",
 ]
+
+
+def _fields_equal(x, y) -> bool:
+    """Dataclass equality that compares array fields by value."""
+    if not isinstance(y, type(x)):
+        return NotImplemented
+    return all(np.array_equal(getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
 
 
 def _rate_array(name: str, value, m: int) -> np.ndarray:
@@ -119,18 +126,7 @@ class ModelParams:
     def with_alpha(self, alpha: float) -> "ModelParams":
         return replace(self, alpha=alpha)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModelParams):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.n_total == other.n_total
-            and self.alpha == other.alpha
-            and all(
-                np.array_equal(getattr(self, k), getattr(other, k))
-                for k in ("b", "d", "rho", "delta", "phi", "eps", "gamma")
-            )
-        )
+    __eq__ = _fields_equal
 
 
 @dataclass(frozen=True, eq=False)

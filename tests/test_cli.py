@@ -100,6 +100,23 @@ def test_compare_pairs_both_engines_on_one_grid(tmp_path):
     assert body.shape == (6, 19)
 
 
+def test_compare_is_the_column_join_of_run_ode_and_run_dtmc(tmp_path, capsys):
+    base = ["--config", "table2", "--horizon", "5"]
+    chain = ["--seed", "9", "--replicas", "8"]
+    ode, mc, cmp = (tmp_path / f"{name}.csv" for name in ("ode", "mc", "cmp"))
+    assert main(["run-ode", *base, "--out", str(ode)]) == 0
+    assert main(["run-dtmc", *base, *chain, "--out", str(mc)]) == 0
+    assert main(["compare", *base, *chain, "--out", str(cmp)]) == 0
+    capsys.readouterr()
+    ode_lines = ode.read_text(encoding="utf-8").splitlines()
+    mc_lines = mc.read_text(encoding="utf-8").splitlines()
+    header = (["time"] + [f"ode_{c}" for c in ode_lines[0].split(",")[1:]]
+              + [c if c.startswith("sd_") else f"mc_{c}" for c in mc_lines[0].split(",")[1:]])
+    rows = [f"{o},{m.split(',', 1)[1]}" for o, m in zip(ode_lines[1:], mc_lines[1:])]
+    assert len(rows) == 6
+    assert cmp.read_bytes() == ("\n".join([",".join(header), *rows]) + "\n").encode()
+
+
 def test_horizon_flag_overrides_the_config(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -147,6 +164,21 @@ def test_logistic_sweep_reports_peaks_per_capacity(tmp_path):
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["r0", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["r0", "--out", "r0.txt"],
+    ["calibrate", "--target-r0", "1.4", "--horizon", "5"],
+    ["run-ode", "--seed", "1"],
+    ["logistic-sweep", "--k-grid", "60", "--dt", "0.01"],
+], ids=["r0-out", "calibrate-horizon", "run-ode-seed", "logistic-sweep-dt"])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", "table2", *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_replica_count_exits_2(capsys):

@@ -175,7 +175,6 @@ def scenario_configs(draw):
         step=sample_every / draw(st.integers(1, 50)),
         horizon=sample_every * draw(st.integers(1, 100)),
         sample_every=sample_every,
-        extinction_threshold=draw(st.floats(1e-6, 1.0)),
     )
     dt = sample_every / draw(st.integers(1, 1000)) if draw(st.booleans()) else None
     target_r0 = draw(st.floats(0.01, 10.0)) if draw(st.booleans()) else None

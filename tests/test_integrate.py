@@ -35,7 +35,6 @@ def demo_init() -> ContinuousState:
     dict(step=0.0),
     dict(horizon=-1.0),
     dict(sample_every=np.inf),
-    dict(extinction_threshold=0.0),
     dict(step=2.0, sample_every=1.0),
     dict(sample_every=300.0, horizon=200.0),
     dict(step=0.3, sample_every=1.0),

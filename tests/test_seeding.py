@@ -87,7 +87,7 @@ def test_ensemble_of_three_chunks_equals_its_replicas_byte_for_byte():
 def test_extinction_times_equal_those_of_the_replicas():
     p = two_group_params(alpha=0.5)
     init = DiscreteState(s=[10, 10], a=[1, 1], dd=[1, 1])
-    n, seed, dt = 260, -7, 0.02
+    n, seed, dt = 260, 2**64 - 7, 0.02
     summary = extinction_time_stochastic(p, init, dt, 10.0, FULL, n_replicas=n, seed=seed)
     expected = []
     for r in range(n):
@@ -102,6 +102,14 @@ def test_extinction_times_equal_those_of_the_replicas():
 def test_replica_seed_outside_the_64_bit_range_is_a_domain_error(seed):
     with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
         simulate_replica(single_group_params(), small_init(), 0.05, 1.0, PAPER_LITERAL, seed=seed)
+
+
+@pytest.mark.parametrize("driver", [monte_carlo_mean, extinction_time_stochastic])
+@pytest.mark.parametrize("seed", [-1, 1.5, 2**64], ids=["negative", "fractional", "too_wide"])
+def test_ensemble_seed_outside_the_64_bit_range_is_a_domain_error(driver, seed):
+    # the ensembles must not wrap or truncate a seed that simulate_replica rejects
+    with pytest.raises(DomainError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        driver(single_group_params(), small_init(), 0.05, 1.0, PAPER_LITERAL, n_replicas=2, seed=seed)
 
 
 def test_replica_seed_at_the_top_of_the_range_and_as_numpy_integer():
