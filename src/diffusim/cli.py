@@ -194,12 +194,22 @@ _COMMANDS = (
 )
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Rejects a flag it does not take with its own usage line, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffusim",
         description="Simulate compartmental information diffusion in a grouped population.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for name, run, help_text, flags in _COMMANDS:
         sub = subs.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="scenario file path or bundled name (e.g. table2)")

@@ -102,7 +102,14 @@ _REPLAY_BLOCK = 256
 
 
 def derive_replica_seed(seed: int, index: int) -> int:
-    """Per-replica 64-bit seed: SplitMix64 finalizer over (seed, index)."""
+    """Per-replica 64-bit seed: SplitMix64 finalizer over (seed, index).
+
+    Any integer ``seed`` is accepted and reduced mod 2^64, so -1 and
+    2^64 - 1 give the same replica seeds. The chain drivers
+    (``simulate_replica``, ``monte_carlo_mean`` and
+    ``extinction_time_stochastic``) accept a seed only in [0, 2^64) and
+    raise DomainError otherwise.
+    """
     z = (int(seed) + (int(index) + 1) * _GOLDEN) & _MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64

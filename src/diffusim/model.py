@@ -347,6 +347,18 @@ def disease_free_equilibrium(params: ModelParams) -> EquilibriumPoint:
     return EquilibriumPoint(s_star=s_star, a_star=np.zeros(params.m), d_star=d_star, kind="disease_free")
 
 
+def _check_seed_state(params: ModelParams, seed_state: ContinuousState) -> None:
+    if seed_state.m != params.m:
+        raise DomainError(f"seed state has {seed_state.m} groups, params expect {params.m}")
+    if float(seed_state.a.sum()) <= 0:
+        raise DomainError("endemic search needs a seed with some active mass")
+
+
+def _tagged(s: np.ndarray, a: np.ndarray, dd: np.ndarray, extinction_threshold: float) -> EquilibriumPoint:
+    kind = "endemic" if float(a.sum()) > extinction_threshold else "disease_free"
+    return EquilibriumPoint(s_star=s, a_star=a, d_star=dd, kind=kind)
+
+
 def endemic_equilibrium(
     params: ModelParams,
     seed_state: ContinuousState,
@@ -358,9 +370,96 @@ def endemic_equilibrium(
 ) -> EquilibriumPoint:
     """Long-run attractor reached from ``seed_state``.
 
+    With every d_i > 0 the point is found without integrating. The
+    force of activation has rank one: with W = gamma . a held fixed,
+    group i is activated at the rate lam_i = alpha eps_i W / n_total,
+    and its stationary state is
+
+        s_i  = b_i / (lam_i + d_i + rho_i
+                      - delta_i (phi_i lam_i / (d_i + phi_i) + rho_i) / (d_i + delta_i))
+             = b_i (d_i + delta_i) / (d_i (lam_i (d_i + delta_i + phi_i) / (d_i + phi_i)
+                                          + d_i + delta_i + rho_i))
+        a_i  = lam_i s_i / (d_i + phi_i)
+        dd_i = (phi_i a_i + rho_i s_i) / (d_i + delta_i)
+
+    s_i is evaluated in the second form, a sum of positive terms: the
+    first cancels to a relative error near eps / d_i when d_i is small.
+    The rest point solves the scalar equation W = sum_i gamma_i a_i(W).
+    The ratio sum_i gamma_i a_i(W) / W falls from R0 at W -> 0, so a
+    positive root exists, and is unique, exactly when R0 > 1 (van den
+    Driessche & Watmough 2002, Math. Biosci. 180:29). At R0 <= 1 the
+    result is :func:`disease_free_equilibrium`; above it, W is bisected
+    on (0, gamma . b/d] until the midpoint equals an endpoint. The seed
+    is only validated, and ``tol``, ``horizon`` and ``step`` are unused.
+
+    With some d_i = 0, the flow is integrated by RK4 steps of size
+    ``step`` until the max-norm of the derivative drops below ``tol``.
+
+    Either way, the returned point is tagged endemic when its total
+    active mass exceeds ``extinction_threshold``, disease_free otherwise.
+
+    Raises:
+        DomainError: if the seed has no active mass at all.
+        NumericError: (some d_i = 0) at the first step whose state is
+            not finite; (every d_i > 0) if gamma . b/d overflows.
+        ConvergenceError: (some d_i = 0) if stationarity is not reached
+            within ``horizon`` time units; carries the last state reached.
+    """
+    if not np.all(params.d > 0):
+        return _march_equilibrium(params, seed_state, tol=tol, horizon=horizon, step=step,
+                                  extinction_threshold=extinction_threshold)
+    _check_seed_state(params, seed_state)
+    ratio = _activation_ratio(params)
+    if ratio(0.0) <= 1.0:
+        return disease_free_equilibrium(params)
+    lo, hi = 0.0, float(np.sum(params.gamma * params.b / params.d))
+    if not math.isfinite(hi):
+        raise NumericError(f"rest-point bracket gamma . b/d = {hi} is not finite")
+    while True:
+        w = 0.5 * (lo + hi)
+        if w == lo or w == hi:
+            break
+        if ratio(w) > 1.0:
+            lo = w
+        else:
+            hi = w
+    d, rho, delta, phi = params.d, params.rho, params.delta, params.phi
+    lam = params.alpha * params.eps * w / params.n_total
+    s = params.b * (d + delta) / (d * (lam * (d + delta + phi) / (d + phi) + d + delta + rho))
+    a = lam * s / (d + phi)
+    return _tagged(s, a, (phi * a + rho * s) / (d + delta), extinction_threshold)
+
+
+def _activation_ratio(params: ModelParams) -> Callable[[float], float]:
+    """W -> sum_i gamma_i a_i(W) / W, for every d_i > 0.
+
+    a_i(W) is group i's stationary activity when W = gamma . a is held
+    fixed (see :func:`endemic_equilibrium`). Each term has the form
+    num_i / (grow_i W + rest_i), so the ratio falls in W, and at W = 0
+    it is R0 = sum_i alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)).
+    """
+    d, rho, delta, phi = params.d, params.rho, params.delta, params.phi
+    c = params.alpha * params.eps / params.n_total
+    num = params.gamma * c * params.b * (d + delta) / (d * (d + phi))
+    grow = c * (d + delta + phi) / (d + phi)
+    terms = list(zip(num.tolist(), grow.tolist(), (d + delta + rho).tolist()))
+    return lambda w: sum(n / (g * w + r) for n, g, r in terms)
+
+
+def _march_equilibrium(
+    params: ModelParams,
+    seed_state: ContinuousState,
+    *,
+    tol: float = 1e-9,
+    horizon: float = 2e4,
+    step: float = 0.05,
+    extinction_threshold: float = 1e-3,
+) -> EquilibriumPoint:
+    """The point an RK4 march from ``seed_state`` comes to rest at.
+
     Integrates the flow until the max-norm of the derivative drops below
-    ``tol``. The returned point is tagged endemic when its total active
-    mass exceeds ``extinction_threshold``, disease_free otherwise.
+    ``tol``, running at most floor(horizon / step) steps. The returned
+    point is tagged as by :func:`endemic_equilibrium`.
 
     Raises:
         DomainError: if the seed has no active mass at all.
@@ -368,10 +467,7 @@ def endemic_equilibrium(
         ConvergenceError: if stationarity is not reached within
             ``horizon`` time units; carries the last state reached.
     """
-    if seed_state.m != params.m:
-        raise DomainError(f"seed state has {seed_state.m} groups, params expect {params.m}")
-    if float(seed_state.a.sum()) <= 0:
-        raise DomainError("endemic search needs a seed with some active mass")
+    _check_seed_state(params, seed_state)
     m = params.m
     flow, rk4 = _kernel(params)
     y = [*seed_state.s.tolist(), *seed_state.a.tolist(), *seed_state.dd.tolist()]
@@ -395,6 +491,4 @@ def endemic_equilibrium(
             last_state=last,
         )
     y = np.array(y)
-    s, a, dd = y[:m], y[m : 2 * m], y[2 * m :]
-    kind = "endemic" if float(a.sum()) > extinction_threshold else "disease_free"
-    return EquilibriumPoint(s_star=s, a_star=a, d_star=dd, kind=kind)
+    return _tagged(y[:m], y[m : 2 * m], y[2 * m :], extinction_threshold)

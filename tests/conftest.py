@@ -22,6 +22,13 @@ def two_group_params(alpha: float = 1.0) -> ModelParams:
     )
 
 
+def fast_params() -> ModelParams:
+    """Faster turnover than table2, so endemic marches converge in a few thousand steps."""
+    base = two_group_params()
+    return ModelParams(m=2, n_total=100.0, alpha=1.0, b=0.1, d=0.1, rho=0.3, delta=0.3,
+                       phi=0.2, eps=base.eps, gamma=base.gamma)
+
+
 def single_group_params(alpha: float = 2.0) -> ModelParams:
     """A small single-group chain used for exact-propagation checks."""
     return ModelParams(

@@ -181,6 +181,31 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(argv, tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, unread, usage", [
+    (["r0"], ["--out", "x.txt"], "usage: diffusim r0 [-h] --config CONFIG\n"),
+    (["logistic-sweep", "--k-grid", "60"], ["--dt", "0.01"],
+     "usage: diffusim logistic-sweep [-h] --config CONFIG [--out OUT]"),
+], ids=["r0", "logistic-sweep"])
+def test_an_unread_flag_shows_the_subcommand_usage(argv, unread, usage, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", "table2", *unread])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert err.endswith(f"diffusim {argv[0]}: error: unrecognized arguments: {' '.join(unread)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unknown_flag_before_the_subcommand_shows_the_top_level_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bogus", "r0", "--config", "table2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: diffusim [-h]")
+    assert err.endswith("diffusim: error: unrecognized arguments: --bogus\n")
+
+
 def test_invalid_replica_count_exits_2(capsys):
     assert main(["run-dtmc", "--config", "table2", "--replicas", "0"]) == 2
     assert "replicas" in capsys.readouterr().err

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from conftest import random_params, single_group_params, two_group_params
+from conftest import fast_params, random_params, single_group_params, two_group_params
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from diffusim import (
     ContinuousState,
@@ -13,7 +15,8 @@ from diffusim import (
     ode_rhs,
 )
 from diffusim.errors import ConvergenceError, DomainError, NumericError
-from diffusim.threshold import calibrate_alpha
+from diffusim.model import _activation_ratio, _march_equilibrium
+from diffusim.threshold import calibrate_alpha, r0_rank_one
 
 
 def demo_state() -> ContinuousState:
@@ -226,7 +229,7 @@ def test_persistent_search_reports_nonconvergence_with_last_state():
     base = two_group_params()
     p = base.with_alpha(calibrate_alpha(base, 2.3))
     with pytest.raises(ConvergenceError) as err:
-        endemic_equilibrium(p, seeded_state(p), horizon=5.0)
+        _march_equilibrium(p, seeded_state(p), horizon=5.0)
     assert err.value.last_state is not None
 
 
@@ -237,7 +240,7 @@ def test_persistent_search_runs_every_step_of_the_horizon(horizon, n_steps):
     base = two_group_params()
     p = base.with_alpha(calibrate_alpha(base, 2.3))
     with pytest.raises(ConvergenceError) as err:
-        endemic_equilibrium(p, seeded_state(p), tol=0.0, horizon=horizon, step=0.1)
+        _march_equilibrium(p, seeded_state(p), tol=0.0, horizon=horizon, step=0.1)
     assert err.value.last_state.t == pytest.approx(n_steps * 0.1)
 
 
@@ -249,3 +252,167 @@ def test_persistent_search_never_clamps_a_nan_into_a_point():
     seed = ContinuousState(t=0.0, s=np.array([0.0]), a=np.array([1e308]), dd=np.array([0.0]))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"non-finite at t = 0\.1$"):
         endemic_equilibrium(p, seed, horizon=1.0, step=0.1)
+
+
+# ------------------------------------------------- endemic point, closed form
+
+
+def flat_point(eq) -> np.ndarray:
+    return np.concatenate([eq.s_star, eq.a_star, eq.d_star])
+
+
+def assert_same_point(got, want) -> None:
+    assert got.kind == want.kind
+    np.testing.assert_array_equal(flat_point(got), flat_point(want))
+
+
+def max_residual(p: ModelParams, eq) -> float:
+    state = ContinuousState(t=0.0, s=eq.s_star, a=eq.a_star, dd=eq.d_star)
+    return float(np.abs(np.concatenate(ode_rhs(p, state))).max())
+
+
+def jacobian(p: ModelParams, y: np.ndarray) -> np.ndarray:
+    """The derivative of ode_rhs with respect to the flat state s + a + dd."""
+    m = p.m
+    s, a = y[:m], y[m : 2 * m]
+    w = p.alpha / p.n_total * float(p.gamma @ a)
+    # d(act_i)/d(a_j) = (alpha / N) eps_i s_i gamma_j
+    act_a = p.alpha / p.n_total * np.outer(p.eps * s, p.gamma)
+    jac = np.zeros((3 * m, 3 * m))
+    si, ai, di = np.s_[:m], np.s_[m : 2 * m], np.s_[2 * m :]
+    jac[si, si] = np.diag(-w * p.eps - p.d - p.rho)
+    jac[si, ai] = -act_a
+    jac[si, di] = np.diag(p.delta)
+    jac[ai, si] = np.diag(w * p.eps)
+    jac[ai, ai] = act_a - np.diag(p.d + p.phi)
+    jac[di, si] = np.diag(p.rho)
+    jac[di, ai] = np.diag(p.phi)
+    jac[di, di] = np.diag(-(p.d + p.delta))
+    return jac
+
+
+def march_bound(p: ModelParams, y: np.ndarray, tol: float) -> float:
+    """How far a march that stopped at max|rhs| < tol can be from the rest point y.
+
+    Near y, rhs(x) = J (x - y) + O(|x - y|^2), so |x - y| <= ||J^-1|| tol
+    in the max norm, to first order; the factor 2 covers the second-order
+    term and rounding, both far below it at these tolerances.
+    """
+    return 2.0 * np.linalg.norm(np.linalg.inv(jacobian(p, y)), np.inf) * tol
+
+
+@pytest.mark.parametrize("r0", [1.4, 2.3, 4.9])
+@pytest.mark.parametrize("scenario", ["table2", "fast"])
+def test_closed_form_matches_the_march_to_its_tolerance(scenario, r0):
+    base = two_group_params() if scenario == "table2" else fast_params()
+    p = base.with_alpha(calibrate_alpha(base, r0))
+    seed = seeded_state(p, 0.01 if scenario == "table2" else 0.1)
+    eq = endemic_equilibrium(p, seed)
+    march = _march_equilibrium(p, seed, tol=1e-12)
+    assert eq.kind == march.kind == "endemic"
+    y = flat_point(eq)
+    gap = float(np.abs(y - flat_point(march)).max())
+    assert gap <= march_bound(p, y, 1e-12), gap
+    assert max_residual(p, eq) <= 1e-15 * float(y.max())
+
+
+@st.composite
+def endemic_models(draw):
+    """Rates with every d_i > 0, alpha calibrated to a drawn R0 where one can be reached."""
+    m = draw(st.integers(1, 4))
+
+    def vec(lo, hi, off=False):
+        # off: zero in any group but the first, else at least lo, so that a
+        # calibrated alpha stays finite and the two R0 routes round alike
+        value = st.floats(lo, hi)
+        rest = st.one_of(st.just(0.0), value) if off else value
+        return np.array([draw(value)] + draw(st.lists(rest, min_size=m - 1, max_size=m - 1)))
+
+    p = ModelParams(
+        m=m, n_total=draw(st.floats(20.0, 500.0)), alpha=1.0,
+        b=vec(1e-3, 1.0, off=True), d=vec(1e-6, 0.1), rho=vec(0.0, 0.3), delta=vec(0.0, 0.3),
+        phi=vec(0.0, 0.3), eps=vec(1e-2, 1.0, off=True), gamma=vec(1e-2, 1.0, off=True),
+    )
+    if r0_rank_one(p) > 0.0:
+        p = p.with_alpha(calibrate_alpha(p, draw(st.floats(0.1, 20.0))))
+    return p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=endemic_models())
+def test_closed_form_point_is_the_rest_point_or_the_dfe(p):
+    r0 = r0_rank_one(p)
+    # within rounding of the threshold the two R0 routes may fall on either side
+    assume(abs(r0 - 1.0) > 1e-12)
+    dfe = disease_free_equilibrium(p)
+    eq = endemic_equilibrium(p, ContinuousState(t=0.0, s=dfe.s_star, a=np.full(p.m, 0.1), dd=dfe.d_star))
+    if r0 <= 1.0:
+        assert_same_point(eq, dfe)
+        return
+    y = flat_point(eq)
+    # a group with no births or no susceptibility rests without actives
+    assert np.all(y >= 0) and float(eq.a_star.sum()) > 0
+    assert max_residual(p, eq) <= 1e-12 * float(y.max())
+    # locally stable, so it is the point a march from nearby tends to
+    assert np.all(np.linalg.eigvals(jacobian(p, y)).real < 0)
+
+
+def test_activation_ratio_at_zero_is_the_rank_one_r0():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        p = random_params(rng, int(rng.integers(1, 9)))
+        assert _activation_ratio(p)(0.0) == pytest.approx(r0_rank_one(p), rel=1e-13)
+
+
+def test_group_without_births_rests_empty():
+    base = ModelParams(m=2, n_total=100.0, alpha=1.0, b=[0.01, 0.0], d=0.01, rho=0.2,
+                       delta=0.03, phi=0.03, eps=[0.4, 0.6], gamma=[0.4, 0.7])
+    p = base.with_alpha(calibrate_alpha(base, 2.3))
+    seed = ContinuousState(t=0.0, s=[0.5, 0.5], a=[0.1, 0.1], dd=[0.3, 0.3])
+    eq = endemic_equilibrium(p, seed)
+    assert eq.kind == "endemic"
+    assert eq.s_star[1] == eq.a_star[1] == eq.d_star[1] == 0.0
+    assert eq.a_star[0] > 0
+    y = flat_point(eq)
+    assert max_residual(p, eq) <= 1e-15 * float(y.max())
+    march = _march_equilibrium(p, seed, tol=1e-12)
+    assert float(np.abs(y - flat_point(march)).max()) <= march_bound(p, y, 1e-12)
+
+
+def test_rest_point_just_above_threshold_grows_with_the_excess():
+    # the transcritical branch: the active mass is proportional to R0 - 1
+    base = two_group_params()
+    seed = seeded_state(base)
+    masses = []
+    for excess in (1e-6, 2e-6):
+        p = base.with_alpha(calibrate_alpha(base, 1.0 + excess))
+        eq = endemic_equilibrium(p, seed)
+        assert np.all(eq.a_star > 0)
+        # below extinction_threshold, the point is tagged as by the march
+        assert eq.kind == "disease_free"
+        assert endemic_equilibrium(p, seed, extinction_threshold=0.0).kind == "endemic"
+        assert max_residual(p, eq) <= 1e-15 * float(flat_point(eq).max())
+        masses.append(float(eq.a_star.sum()))
+    assert masses[1] / masses[0] == pytest.approx(2.0, rel=1e-4)
+
+
+def test_rest_point_just_below_threshold_is_the_dfe():
+    base = two_group_params()
+    p = base.with_alpha(calibrate_alpha(base, 1.0 - 1e-9))
+    assert_same_point(endemic_equilibrium(p, seeded_state(base)), disease_free_equilibrium(p))
+
+
+def test_closed_form_route_still_needs_active_mass():
+    p = two_group_params()
+    eq = disease_free_equilibrium(p)
+    with pytest.raises(DomainError, match="active mass"):
+        endemic_equilibrium(p, ContinuousState(t=0.0, s=eq.s_star, a=np.zeros(2), dd=eq.d_star))
+
+
+def test_closed_form_route_refuses_an_overflowing_bracket():
+    # b / d overflows, so (0, gamma . b/d] is no bracket; a NaN point must not come back
+    p = ModelParams(m=1, n_total=100.0, alpha=1.0, b=1.0, d=5e-324, rho=0.1,
+                    delta=0.1, phi=0.1, eps=1.0, gamma=1.0)
+    seed = ContinuousState(t=0.0, s=[1.0], a=[1.0], dd=[0.0])
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
+        endemic_equilibrium(p, seed)

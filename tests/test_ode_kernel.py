@@ -3,14 +3,14 @@
 The first oracle is the array implementation the package used before the
 scalar kernel: the flow on numpy vectors, a logistic coupling that
 rebuilds ``ModelParams`` for every RK4 stage, and the same step, clamp
-and sampling loop. ``integrate``, ``ode_rhs`` and ``endemic_equilibrium``
-must agree with it to rounding.
+and sampling loop. ``integrate``, ``ode_rhs`` and the endemic march
+(``model._march_equilibrium``) must agree with it to rounding.
 
 The second oracle is the scalar list kernel that the generated one
 replaced, kept verbatim (``_flow`` and ``_rk4_step``). It performs the
 same operations in the same order, so the generated ``flow`` and ``step``
 must match it bit for bit, signed zeros included, and so must every
-``integrate`` and ``endemic_equilibrium`` result.
+``integrate`` and endemic-march result.
 """
 
 import gc
@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from conftest import two_group_params
+from conftest import fast_params, two_group_params
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,12 +33,11 @@ from diffusim import (
     calibrate_alpha,
     disease_free_equilibrium,
     effective_params_for_total,
-    endemic_equilibrium,
     integrate,
     ode_rhs,
 )
 from diffusim.errors import DomainError
-from diffusim.model import _kernel, _population_error
+from diffusim.model import _kernel, _march_equilibrium, _population_error
 
 # ------------------------------------------------------------------- oracle
 
@@ -199,7 +198,7 @@ def test_endemic_point_matches_the_oracle_march():
         p = fast.with_alpha(calibrate_alpha(fast, target))
         eq = disease_free_equilibrium(p)
         seed = ContinuousState(t=0.0, s=0.9 * eq.s_star, a=0.1 * eq.s_star, dd=eq.d_star)
-        got = endemic_equilibrium(p, seed)
+        got = _march_equilibrium(p, seed)
         want = oracle_endemic(p, seed)
         assert got.kind == "endemic"
         assert_close(np.concatenate([got.s_star, got.a_star, got.d_star]), want, 1e-12)
@@ -309,7 +308,7 @@ def list_integrate(params, init, cfg, logistic=None, n_steps=None):
 
 
 def list_endemic(params, seed_state, tol=1e-9, step=0.05, horizon=2e4):
-    """``endemic_equilibrium``'s march on the list kernel: the point reached."""
+    """``_march_equilibrium`` on the list kernel: the point reached."""
     f = _flow(params)
     y = [*seed_state.s.tolist(), *seed_state.a.tolist(), *seed_state.dd.tolist()]
     for _ in range(int(math.floor(horizon / step + 1e-9))):
@@ -326,13 +325,6 @@ def hexes(call) -> list[str] | str:
         return [v.hex() for v in call()]
     except DomainError as exc:
         return f"DomainError: {exc}"
-
-
-def fast_params() -> ModelParams:
-    """Faster turnover than table2, so endemic marches converge in a few thousand steps."""
-    base = two_group_params()
-    return ModelParams(m=2, n_total=100.0, alpha=1.0, b=0.1, d=0.1, rho=0.3, delta=0.3,
-                       phi=0.2, eps=base.eps, gamma=base.gamma)
 
 
 def seeded(params: ModelParams, r0: float, fraction: float) -> tuple[ModelParams, ContinuousState]:
@@ -375,7 +367,7 @@ def test_integrate_equals_the_list_kernel_march(scenario, coupled, r0):
 def test_endemic_point_equals_the_list_kernel_march(scenario, r0):
     base = two_group_params() if scenario == "table2" else fast_params()
     p, seed = seeded(base, r0, 0.01 if scenario == "table2" else 0.1)
-    got = endemic_equilibrium(p, seed)
+    got = _march_equilibrium(p, seed)
     np.testing.assert_array_equal(np.concatenate([got.s_star, got.a_star, got.d_star]), list_endemic(p, seed))
 
 
