@@ -90,7 +90,7 @@ def integrate(
     n_steps = int(np.floor(cfg.horizon / h + 1e-9))
     n_samples = n_steps // stride + 1
 
-    flow, rk4 = _kernel(params, logistic)
+    _, rk4 = _kernel(params, logistic)
     m = params.m
     y = [*init.s.tolist(), *init.a.tolist(), *init.dd.tolist()]
     out = np.empty((n_samples, 3 * m))
@@ -100,7 +100,7 @@ def integrate(
     # one try for the whole loop: a logistic stage's DomainError is a step-size failure
     try:
         for j in range(1, n_steps + 1):
-            y = rk4(y, flow(*y), h)
+            y = rk4(y, h)
             # every component is checked before the clamp, so a nan is never
             # clamped to 0 (a finiteness check on sum(y) could overflow)
             if not all(map(math.isfinite, y)):

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, NumericError
+from .errors import DomainError, NumericError
 
 __all__ = [
     "ModelParams",
@@ -169,6 +169,8 @@ class EquilibriumPoint:
         if self.kind not in ("disease_free", "endemic"):
             raise DomainError(f"kind must be 'disease_free' or 'endemic', got {self.kind!r}")
 
+    __eq__ = _fields_equal
+
 
 def force_of_activation(params: ModelParams, a: np.ndarray) -> np.ndarray:
     """Pairwise activation pressure matrix for active counts ``a``.
@@ -222,12 +224,11 @@ def _kernel_code(m: int, logistic: bool) -> CodeType:
 
     Running it defines ``flow(y0, ..., y_{3m-1})``, straight-line scalar
     arithmetic that returns the derivative of the flat state s + a + dd
-    as a list, and ``make_step(flow)``, which returns ``step(y, k1, h)``:
-    one classic RK4 step of size h from y, given ``k1 = flow(*y)``. The
-    source holds only identifiers and integer indices, so no input text
-    reaches ``exec``; every rate is a global name (``eps_0``,
-    ``d_rho_1``, ...) that the module unpacks from the per-rate lists of
-    floats :func:`_kernel` binds per call.
+    as a list, and ``make_step(flow)``, which returns ``step(y, h)``: one
+    classic RK4 step of size h from y. The source holds only identifiers
+    and integer indices, so no input text reaches ``exec``; every rate is
+    a global name (``eps_0``, ``d_rho_1``, ...) that the module unpacks
+    from the per-rate lists of floats :func:`_kernel` binds per call.
 
     Each component is evaluated left to right as written in
     :func:`ode_rhs`, the activation term as ((alpha / N) (gamma . a))
@@ -282,9 +283,9 @@ def _kernel_code(m: int, logistic: bool) -> CodeType:
         *(f"    {line}" for line in head),
         f"    return [{', '.join(out)}]",
         "def make_step(flow):",
-        "    def step(y, k1, h):",
+        "    def step(y, h):",
         f"        {', '.join(ys)} = y",
-        f"        {names('p')} = k1",
+        f"        {names('p')} = flow(*y)",
         "        hh = 0.5 * h",
         f"        {names('q')} = {stage('hh', 'p')}",
         f"        {names('r')} = {stage('hh', 'q')}",
@@ -363,17 +364,14 @@ def endemic_equilibrium(
     params: ModelParams,
     seed_state: ContinuousState,
     *,
-    tol: float = 1e-9,
-    horizon: float = 2e4,
-    step: float = 0.05,
     extinction_threshold: float = 1e-3,
 ) -> EquilibriumPoint:
-    """Long-run attractor reached from ``seed_state``.
+    """Long-run attractor reached from ``seed_state``, found without integrating.
 
-    With every d_i > 0 the point is found without integrating. The
-    force of activation has rank one: with W = gamma . a held fixed,
+    The force of activation has rank one: with W = gamma . a held fixed,
     group i is activated at the rate lam_i = alpha eps_i W / n_total,
-    and its stationary state is
+    and its stationary state follows from W alone. A group with d_i > 0
+    rests at
 
         s_i  = b_i / (lam_i + d_i + rho_i
                       - delta_i (phi_i lam_i / (d_i + phi_i) + rho_i) / (d_i + delta_i))
@@ -384,111 +382,93 @@ def endemic_equilibrium(
 
     s_i is evaluated in the second form, a sum of positive terms: the
     first cancels to a relative error near eps / d_i when d_i is small.
+    A conserved group (d_i = b_i = 0) keeps its seed total N_i and rests at
+
+        (s_i, a_i, dd_i) = N_i (phi_i delta_i, lam_i delta_i, (lam_i + rho_i) phi_i) / D_i
+        D_i = phi_i (delta_i + rho_i) + lam_i (delta_i + phi_i)
+
     The rest point solves the scalar equation W = sum_i gamma_i a_i(W).
     The ratio sum_i gamma_i a_i(W) / W falls from R0 at W -> 0, so a
     positive root exists, and is unique, exactly when R0 > 1 (van den
-    Driessche & Watmough 2002, Math. Biosci. 180:29). At R0 <= 1 the
-    result is :func:`disease_free_equilibrium`; above it, W is bisected
-    on (0, gamma . b/d] until the midpoint equals an endpoint. The seed
-    is only validated, and ``tol``, ``horizon`` and ``step`` are unused.
+    Driessche & Watmough 2002, Math. Biosci. 180:29). Above it, W is
+    bisected on (0, sum_i gamma_i c_i], where c_i is b_i / d_i, or N_i
+    for a conserved group, until the midpoint equals an endpoint. At
+    R0 <= 1 the result is the W -> 0 limit, which is exactly
+    :func:`disease_free_equilibrium` when every d_i > 0. The seed enters
+    only through the totals N_i.
 
-    With some d_i = 0, the flow is integrated by RK4 steps of size
-    ``step`` until the max-norm of the derivative drops below ``tol``.
-
-    Either way, the returned point is tagged endemic when its total
-    active mass exceeds ``extinction_threshold``, disease_free otherwise.
+    The returned point is tagged endemic when its total active mass
+    exceeds ``extinction_threshold``, disease_free otherwise.
 
     Raises:
-        DomainError: if the seed has no active mass at all.
-        NumericError: (some d_i = 0) at the first step whose state is
-            not finite; (every d_i > 0) if gamma . b/d overflows.
-        ConvergenceError: (some d_i = 0) if stationarity is not reached
-            within ``horizon`` time units; carries the last state reached.
+        DomainError: if the seed has no active mass at all; if a group
+            has d_i = 0 < b_i, since it grows without bound; or if a
+            conserved group has phi_i (delta_i + rho_i) = 0, since its
+            rest point at W = 0 is not unique. The message names the
+            first such group, counting from 1.
+        NumericError: if the bracket sum_i gamma_i c_i or R0 overflows.
     """
-    if not np.all(params.d > 0):
-        return _march_equilibrium(params, seed_state, tol=tol, horizon=horizon, step=step,
-                                  extinction_threshold=extinction_threshold)
     _check_seed_state(params, seed_state)
-    ratio = _activation_ratio(params)
-    if ratio(0.0) <= 1.0:
-        return disease_free_equilibrium(params)
-    lo, hi = 0.0, float(np.sum(params.gamma * params.b / params.d))
-    if not math.isfinite(hi):
-        raise NumericError(f"rest-point bracket gamma . b/d = {hi} is not finite")
-    while True:
-        w = 0.5 * (lo + hi)
-        if w == lo or w == hi:
-            break
-        if ratio(w) > 1.0:
-            lo = w
-        else:
-            hi = w
-    d, rho, delta, phi = params.d, params.rho, params.delta, params.phi
+    kept = params.d == 0
+    grows = np.flatnonzero(kept & (params.b > 0))
+    if grows.size:
+        raise DomainError(f"group {grows[0] + 1} has d_i = 0 < b_i: it grows without bound, "
+                          "so there is no rest point")
+    stuck = np.flatnonzero(kept & (params.phi * (params.delta + params.rho) == 0))
+    if stuck.size:
+        raise DomainError(f"group {stuck[0] + 1} keeps its total but has phi_i (delta_i + rho_i) = 0, "
+                          "so its rest point is not unique")
+    totals = np.where(kept, seed_state.s + seed_state.a + seed_state.dd, 0.0)
+    # a conserved group sees d = 1 and b = 0 below; np.where replaces its terms
+    d = np.where(kept, 1.0, params.d)
+    ratio = _activation_ratio(params, totals)
+    r0 = ratio(0.0)
+    if r0 <= 1.0:
+        if not kept.any():
+            return disease_free_equilibrium(params)
+        w = 0.0
+    else:
+        lo, hi = 0.0, float(np.sum(params.gamma * np.where(kept, totals, params.b) / d))
+        # every rest_i > 0, so an infinite or nan R0 can only be an overflow
+        if not (math.isfinite(hi) and math.isfinite(r0)):
+            raise NumericError(f"rest-point bracket sum_i gamma_i c_i = {hi} or R0 = {r0} is not finite")
+        while True:
+            w = 0.5 * (lo + hi)
+            if w == lo or w == hi:
+                break
+            if ratio(w) > 1.0:
+                lo = w
+            else:
+                hi = w
+    rho, delta, phi = params.rho, params.delta, params.phi
     lam = params.alpha * params.eps * w / params.n_total
     s = params.b * (d + delta) / (d * (lam * (d + delta + phi) / (d + phi) + d + delta + rho))
     a = lam * s / (d + phi)
-    return _tagged(s, a, (phi * a + rho * s) / (d + delta), extinction_threshold)
+    dd = (phi * a + rho * s) / (d + delta)
+    big_d = np.where(kept, phi * (delta + rho) + lam * (delta + phi), 1.0)
+    s = np.where(kept, totals * phi * delta / big_d, s)
+    a = np.where(kept, totals * lam * delta / big_d, a)
+    dd = np.where(kept, totals * (lam + rho) * phi / big_d, dd)
+    return _tagged(s, a, dd, extinction_threshold)
 
 
-def _activation_ratio(params: ModelParams) -> Callable[[float], float]:
-    """W -> sum_i gamma_i a_i(W) / W, for every d_i > 0.
+def _activation_ratio(params: ModelParams, totals: np.ndarray) -> Callable[[float], float]:
+    """W -> sum_i gamma_i a_i(W) / W, given the ``totals`` N_i of the conserved groups.
 
     a_i(W) is group i's stationary activity when W = gamma . a is held
     fixed (see :func:`endemic_equilibrium`). Each term has the form
-    num_i / (grow_i W + rest_i), so the ratio falls in W, and at W = 0
-    it is R0 = sum_i alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)).
+    num_i / (grow_i W + rest_i), so the ratio falls in W. At W = 0 it is
+    R0: a group with d_i > 0 adds alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)),
+    and a conserved group alpha eps_i gamma_i N_i delta_i / (n_total phi_i (delta_i + rho_i)).
     """
-    d, rho, delta, phi = params.d, params.rho, params.delta, params.phi
+    kept = params.d == 0
+    rho, delta, phi = params.rho, params.delta, params.phi
+    # a conserved group sees d = 1 and b = 0 here; np.where picks its own terms
+    d = np.where(kept, 1.0, params.d)
     c = params.alpha * params.eps / params.n_total
-    num = params.gamma * c * params.b * (d + delta) / (d * (d + phi))
-    grow = c * (d + delta + phi) / (d + phi)
-    terms = list(zip(num.tolist(), grow.tolist(), (d + delta + rho).tolist()))
+    num = np.where(kept, params.gamma * c * totals * delta,
+                   params.gamma * c * params.b * (d + delta) / (d * (d + phi)))
+    grow = np.where(kept, c * (delta + phi), c * (d + delta + phi) / (d + phi))
+    rest = np.where(kept, phi * (delta + rho), d + delta + rho)
+    terms = list(zip(num.tolist(), grow.tolist(), rest.tolist()))
     return lambda w: sum(n / (g * w + r) for n, g, r in terms)
-
-
-def _march_equilibrium(
-    params: ModelParams,
-    seed_state: ContinuousState,
-    *,
-    tol: float = 1e-9,
-    horizon: float = 2e4,
-    step: float = 0.05,
-    extinction_threshold: float = 1e-3,
-) -> EquilibriumPoint:
-    """The point an RK4 march from ``seed_state`` comes to rest at.
-
-    Integrates the flow until the max-norm of the derivative drops below
-    ``tol``, running at most floor(horizon / step) steps. The returned
-    point is tagged as by :func:`endemic_equilibrium`.
-
-    Raises:
-        DomainError: if the seed has no active mass at all.
-        NumericError: at the first step whose state is not finite.
-        ConvergenceError: if stationarity is not reached within
-            ``horizon`` time units; carries the last state reached.
-    """
-    _check_seed_state(params, seed_state)
-    m = params.m
-    flow, rk4 = _kernel(params)
-    y = [*seed_state.s.tolist(), *seed_state.a.tolist(), *seed_state.dd.tolist()]
-    n_steps = int(math.floor(horizon / step + 1e-9))
-    for j in range(1, n_steps + 1):
-        k1 = flow(*y)
-        # max() can pass over a nan, so a converged residual must also be finite
-        if max(map(abs, k1)) < tol and all(map(math.isfinite, k1)):
-            break
-        y = rk4(y, k1, step)
-        # checked before the clamp, as in integrate: the clamp would turn -inf into 0
-        if not all(map(math.isfinite, y)):
-            raise NumericError(f"state became non-finite at t = {j * step:g}")
-        y = [0.0 if v < 0.0 else v for v in y]
-    else:
-        last = ContinuousState(t=n_steps * step, s=y[:m], a=y[m : 2 * m], dd=y[2 * m :])
-        residual = float(np.max(np.abs(flow(*y))))
-        raise ConvergenceError(
-            f"no stationary point within horizon {horizon} (residual "
-            f"{residual:.3e} > tol {tol:.1e})",
-            last_state=last,
-        )
-    y = np.array(y)
-    return _tagged(y[:m], y[m : 2 * m], y[2 * m :], extinction_threshold)

@@ -1,9 +1,13 @@
-"""Shared builders for the test suite."""
+"""Shared builders and oracles for the test suite."""
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
-from diffusim import FULL, PAPER_LITERAL, DiscreteState, LogisticConfig, ModelParams
+from diffusim import FULL, PAPER_LITERAL, ContinuousState, DiscreteState, LogisticConfig, ModelParams
+from diffusim.errors import ConvergenceError, NumericError
+from diffusim.model import _check_seed_state, _kernel, _tagged
 
 
 def two_group_params(alpha: float = 1.0) -> ModelParams:
@@ -87,3 +91,52 @@ def chain_models(draw, modes=(PAPER_LITERAL, FULL)):
         logistic = LogisticConfig(enabled=True, growth_rate=draw(st.floats(0.0, 0.5)),
                                   capacity=draw(st.floats(2.0, 40.0)))
     return params, mode, logistic, DiscreteState(s=s, a=a, dd=dd)
+
+
+def march_equilibrium(
+    params: ModelParams,
+    seed_state: ContinuousState,
+    *,
+    tol: float = 1e-9,
+    horizon: float = 2e4,
+    step: float = 0.05,
+    extinction_threshold: float = 1e-3,
+):
+    """The point an RK4 march from ``seed_state`` comes to rest at: the
+    oracle for the closed-form ``endemic_equilibrium``.
+
+    Integrates the flow until the max-norm of the derivative drops below
+    ``tol``, running at most floor(horizon / step) steps. The returned
+    point is tagged as by ``endemic_equilibrium``.
+
+    Raises:
+        DomainError: if the seed has no active mass at all.
+        NumericError: at the first step whose state is not finite.
+        ConvergenceError: if stationarity is not reached within
+            ``horizon`` time units; carries the last state reached.
+    """
+    _check_seed_state(params, seed_state)
+    m = params.m
+    flow, rk4 = _kernel(params)
+    y = [*seed_state.s.tolist(), *seed_state.a.tolist(), *seed_state.dd.tolist()]
+    n_steps = int(math.floor(horizon / step + 1e-9))
+    for j in range(1, n_steps + 1):
+        k1 = flow(*y)
+        # max() can pass over a nan, so a converged residual must also be finite
+        if max(map(abs, k1)) < tol and all(map(math.isfinite, k1)):
+            break
+        y = rk4(y, step)
+        # checked before the clamp, as in integrate: the clamp would turn -inf into 0
+        if not all(map(math.isfinite, y)):
+            raise NumericError(f"state became non-finite at t = {j * step:g}")
+        y = [0.0 if v < 0.0 else v for v in y]
+    else:
+        last = ContinuousState(t=n_steps * step, s=y[:m], a=y[m : 2 * m], dd=y[2 * m :])
+        residual = float(np.max(np.abs(flow(*y))))
+        raise ConvergenceError(
+            f"no stationary point within horizon {horizon} (residual "
+            f"{residual:.3e} > tol {tol:.1e})",
+            last_state=last,
+        )
+    y = np.array(y)
+    return _tagged(y[:m], y[m : 2 * m], y[2 * m :], extinction_threshold)

@@ -1,8 +1,10 @@
 """Core model: parameters, activation pressure, flow field, equilibria."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from conftest import fast_params, random_params, single_group_params, two_group_params
+from conftest import fast_params, march_equilibrium, random_params, single_group_params, two_group_params
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,7 @@ from diffusim import (
     ode_rhs,
 )
 from diffusim.errors import ConvergenceError, DomainError, NumericError
-from diffusim.model import _activation_ratio, _march_equilibrium
+from diffusim.model import _activation_ratio
 from diffusim.threshold import calibrate_alpha, r0_rank_one
 
 
@@ -229,7 +231,7 @@ def test_persistent_search_reports_nonconvergence_with_last_state():
     base = two_group_params()
     p = base.with_alpha(calibrate_alpha(base, 2.3))
     with pytest.raises(ConvergenceError) as err:
-        _march_equilibrium(p, seeded_state(p), horizon=5.0)
+        march_equilibrium(p, seeded_state(p), horizon=5.0)
     assert err.value.last_state is not None
 
 
@@ -240,7 +242,7 @@ def test_persistent_search_runs_every_step_of_the_horizon(horizon, n_steps):
     base = two_group_params()
     p = base.with_alpha(calibrate_alpha(base, 2.3))
     with pytest.raises(ConvergenceError) as err:
-        _march_equilibrium(p, seeded_state(p), tol=0.0, horizon=horizon, step=0.1)
+        march_equilibrium(p, seeded_state(p), tol=0.0, horizon=horizon, step=0.1)
     assert err.value.last_state.t == pytest.approx(n_steps * 0.1)
 
 
@@ -251,7 +253,7 @@ def test_persistent_search_never_clamps_a_nan_into_a_point():
                     delta=0.0, phi=0.1, eps=1.0, gamma=10.0)
     seed = ContinuousState(t=0.0, s=np.array([0.0]), a=np.array([1e308]), dd=np.array([0.0]))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"non-finite at t = 0\.1$"):
-        endemic_equilibrium(p, seed, horizon=1.0, step=0.1)
+        march_equilibrium(p, seed, horizon=1.0, step=0.1)
 
 
 # ------------------------------------------------- endemic point, closed form
@@ -308,7 +310,7 @@ def test_closed_form_matches_the_march_to_its_tolerance(scenario, r0):
     p = base.with_alpha(calibrate_alpha(base, r0))
     seed = seeded_state(p, 0.01 if scenario == "table2" else 0.1)
     eq = endemic_equilibrium(p, seed)
-    march = _march_equilibrium(p, seed, tol=1e-12)
+    march = march_equilibrium(p, seed, tol=1e-12)
     assert eq.kind == march.kind == "endemic"
     y = flat_point(eq)
     gap = float(np.abs(y - flat_point(march)).max())
@@ -361,7 +363,7 @@ def test_activation_ratio_at_zero_is_the_rank_one_r0():
     rng = np.random.default_rng(29)
     for _ in range(200):
         p = random_params(rng, int(rng.integers(1, 9)))
-        assert _activation_ratio(p)(0.0) == pytest.approx(r0_rank_one(p), rel=1e-13)
+        assert _activation_ratio(p, np.zeros(p.m))(0.0) == pytest.approx(r0_rank_one(p), rel=1e-13)
 
 
 def test_group_without_births_rests_empty():
@@ -375,7 +377,7 @@ def test_group_without_births_rests_empty():
     assert eq.a_star[0] > 0
     y = flat_point(eq)
     assert max_residual(p, eq) <= 1e-15 * float(y.max())
-    march = _march_equilibrium(p, seed, tol=1e-12)
+    march = march_equilibrium(p, seed, tol=1e-12)
     assert float(np.abs(y - flat_point(march)).max()) <= march_bound(p, y, 1e-12)
 
 
@@ -416,3 +418,169 @@ def test_closed_form_route_refuses_an_overflowing_bracket():
     seed = ContinuousState(t=0.0, s=[1.0], a=[1.0], dd=[0.0])
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
         endemic_equilibrium(p, seed)
+
+
+def test_endemic_point_below_threshold_equals_the_dfe():
+    base = two_group_params()
+    p = base.with_alpha(calibrate_alpha(base, 0.5))
+    eq = endemic_equilibrium(p, seeded_state(p))
+    assert eq == disease_free_equilibrium(p)
+    assert eq != endemic_equilibrium(base.with_alpha(calibrate_alpha(base, 2.3)), seeded_state(p))
+
+
+# ------------------------------------- endemic point, groups that keep their totals
+
+
+def seed_totals(p: ModelParams, seed: ContinuousState) -> np.ndarray:
+    """N_i = s_i + a_i + dd_i of the seed for groups with d_i = 0, else 0."""
+    return np.where(p.d == 0, seed.s + seed.a + seed.dd, 0.0)
+
+
+def threshold_at_seed(p: ModelParams, seed: ContinuousState) -> float:
+    """R0 with each conserved group at its seed total: the W -> 0 limit of the ratio.
+
+    A group with d_i > 0 adds alpha eps_i gamma_i s*_i / (N (d_i + phi_i));
+    a conserved one adds alpha eps_i gamma_i N_i delta_i / (N phi_i (delta_i + rho_i)).
+    """
+    total = 0.0
+    for i, n_i in enumerate(seed_totals(p, seed)):
+        weight = p.alpha * p.eps[i] * p.gamma[i] / p.n_total
+        if p.d[i] == 0:
+            total += weight * n_i * p.delta[i] / (p.phi[i] * (p.delta[i] + p.rho[i]))
+        else:
+            s_i = p.b[i] * (p.d[i] + p.delta[i]) / (p.d[i] * (p.d[i] + p.delta[i] + p.rho[i]))
+            total += weight * s_i / (p.d[i] + p.phi[i])
+    return total
+
+
+def totals_march_bound(p: ModelParams, y: np.ndarray, march: np.ndarray, tol: float) -> float:
+    """march_bound for a flow in which the groups with d_i = 0 keep their totals.
+
+    Each such group's rows of rhs sum to zero, so J is singular. With L
+    the 0/1 matrix whose columns mark those groups' coordinates,
+    (J + L L^T)(x - y) = rhs(x) + L L^T (x - y) to first order, and
+    L^T (x - y) is how far the march's totals drifted from y's. So
+    |x - y| <= ||(J + L L^T)^-1|| (tol + drift) in the max norm, and the
+    factor 2 again covers the second-order term. With every d_i > 0, L
+    is empty, the drift is 0, and this is march_bound.
+    """
+    m = p.m
+    kept = np.flatnonzero(p.d == 0)
+    lmat = np.zeros((3 * m, kept.size))
+    for col, i in enumerate(kept):
+        lmat[[i, m + i, 2 * m + i], col] = 1.0
+    drift = float(np.abs(lmat.T @ (march - y)).max(initial=0.0))
+    pinned = jacobian(p, y) + lmat @ lmat.T
+    return 2.0 * np.linalg.norm(np.linalg.inv(pinned), np.inf) * (tol + drift)
+
+
+@st.composite
+def conserving_models(draw, mixed: bool):
+    """(params, seed) with b = d = 0 in every group, or (mixed) in some groups and
+    d_i > 0 in the others; alpha is set so that R0 at the seed is drawn away from 1,
+    where the march slows down."""
+    m = draw(st.integers(2, 4) if mixed else st.integers(1, 3))
+    kept = [True] * m
+    if mixed:
+        kept = draw(st.lists(st.booleans(), min_size=m, max_size=m).filter(lambda k: 0 < sum(k) < m))
+    rate, weight = st.floats(0.1, 0.5), st.floats(0.1, 1.0)
+
+    def vec(values):
+        return [draw(values) for _ in range(m)]
+
+    p = ModelParams(
+        m=m, n_total=draw(st.floats(20.0, 200.0)), alpha=1.0,
+        b=[0.0 if k else draw(st.floats(0.5, 5.0)) for k in kept],
+        d=[0.0 if k else draw(st.floats(0.1, 0.3)) for k in kept],
+        rho=vec(rate), delta=vec(rate), phi=vec(rate), eps=vec(weight), gamma=vec(weight),
+    )
+    seed = ContinuousState(t=0.0, s=vec(st.floats(0.0, 50.0)),
+                           a=[draw(st.floats(1.0, 20.0))] + [draw(st.floats(0.0, 20.0)) for _ in range(m - 1)],
+                           dd=vec(st.floats(0.0, 20.0)))
+    r0 = draw(st.floats(0.2, 6.0).filter(lambda r: not 0.7 < r < 1.5))
+    return p.with_alpha(r0 / threshold_at_seed(p, seed)), seed
+
+
+def assert_matches_the_march(p: ModelParams, seed: ContinuousState) -> None:
+    eq = endemic_equilibrium(p, seed)
+    march = march_equilibrium(p, seed, tol=1e-12)
+    assert eq.kind == march.kind
+    assert eq.kind == ("endemic" if threshold_at_seed(p, seed) > 1.0 else "disease_free")
+    y, x = flat_point(eq), flat_point(march)
+    gap = float(np.abs(y - x).max())
+    assert gap <= totals_march_bound(p, y, x, 1e-12), gap
+    assert max_residual(p, eq) <= 1e-12 * float(y.max())
+    assert _activation_ratio(p, seed_totals(p, seed))(0.0) == pytest.approx(
+        threshold_at_seed(p, seed), rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=conserving_models(mixed=False))
+def test_closed_form_matches_the_march_when_every_group_keeps_its_total(model):
+    assert_matches_the_march(*model)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(model=conserving_models(mixed=True))
+def test_closed_form_matches_the_march_with_some_groups_keeping_their_totals(model):
+    assert_matches_the_march(*model)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_conserved_table2_rates_match_the_march(alpha):
+    # table2's rates with b = d = 0; at alpha 0.5 the seed's threshold
+    # ratio is 0.63, so the point is the W -> 0 limit, with no actives
+    base = two_group_params()
+    p = ModelParams(m=2, n_total=100.0, alpha=alpha, b=0.0, d=0.0, rho=base.rho, delta=base.delta,
+                    phi=base.phi, eps=base.eps, gamma=base.gamma)
+    seed = demo_state()
+    assert_matches_the_march(p, seed)
+    eq = endemic_equilibrium(p, seed)
+    np.testing.assert_allclose(eq.s_star + eq.a_star + eq.d_star, [50.0, 50.0], rtol=1e-15)
+    if alpha == 0.5:
+        assert threshold_at_seed(p, seed) < 1.0
+        np.testing.assert_array_equal(eq.a_star, 0.0)
+        np.testing.assert_allclose(eq.s_star, 50.0 * p.delta / (p.delta + p.rho), rtol=1e-15)
+
+
+def test_growing_group_without_deaths_fails_at_once():
+    # group 2 gains b_2 per unit time and loses nothing, so no rest point exists
+    base = two_group_params()
+    p = ModelParams(m=2, n_total=100.0, alpha=5.0, b=0.01, d=[0.01, 0.0], rho=base.rho,
+                    delta=base.delta, phi=base.phi, eps=base.eps, gamma=base.gamma)
+    with pytest.raises(DomainError, match=r"^group 2 has d_i = 0 < b_i"):
+        endemic_equilibrium(p, demo_state())
+
+
+def test_conserved_route_refuses_an_overflowing_bracket():
+    # the seed total of 1e308 overflows gamma . N, so (0, gamma . N] is no bracket
+    p = ModelParams(m=1, n_total=100.0, alpha=1.0, b=0.0, d=0.0, rho=0.1,
+                    delta=0.1, phi=0.1, eps=1.0, gamma=10.0)
+    seed = ContinuousState(t=0.0, s=np.array([0.0]), a=np.array([1e308]), dd=np.array([0.0]))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
+        endemic_equilibrium(p, seed)
+    # without returns (delta = 0) the threshold ratio is 0, and everything
+    # ends deactivated: no bracket is needed
+    eq = endemic_equilibrium(replace(p, delta=0.0), seed)
+    assert eq.kind == "disease_free"
+    np.testing.assert_allclose(flat_point(eq), [0.0, 0.0, 1e308], rtol=1e-15)
+
+
+def test_overflowing_threshold_ratio_is_refused():
+    # alpha eps_i gamma_i N_i delta_i / n_total overflows while gamma . N does
+    # not; a bisection on an infinite ratio would return a NaN point
+    p = ModelParams(m=1, n_total=100.0, alpha=1000.0, b=0.0, d=0.0, rho=0.1,
+                    delta=0.5, phi=0.1, eps=1.0, gamma=1.0)
+    seed = ContinuousState(t=0.0, s=np.array([0.0]), a=np.array([1e308]), dd=np.array([0.0]))
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"R0 = inf is not finite"):
+        endemic_equilibrium(p, seed)
+
+
+@pytest.mark.parametrize("phi, delta, rho", [(0.0, 0.0, 0.2), (0.0, 0.03, 0.2), (0.03, 0.0, 0.0)])
+def test_conserved_group_without_a_unique_rest_point_is_refused(phi, delta, rho):
+    # phi_i (delta_i + rho_i) = 0: at W = 0 the group's split of its total is
+    # frozen where the seed left it; with phi_i = delta_i = 0 it is at every W
+    p = ModelParams(m=2, n_total=100.0, alpha=2.0, b=[0.01, 0.0], d=[0.01, 0.0], rho=[0.2, rho],
+                    delta=[0.03, delta], phi=[0.03, phi], eps=[0.4, 0.6], gamma=[0.4, 0.7])
+    with pytest.raises(DomainError, match=r"^group 2 keeps its total but has phi_i \(delta_i \+ rho_i\) = 0"):
+        endemic_equilibrium(p, demo_state())

@@ -4,7 +4,7 @@ The first oracle is the array implementation the package used before the
 scalar kernel: the flow on numpy vectors, a logistic coupling that
 rebuilds ``ModelParams`` for every RK4 stage, and the same step, clamp
 and sampling loop. ``integrate``, ``ode_rhs`` and the endemic march
-(``model._march_equilibrium``) must agree with it to rounding.
+(``conftest.march_equilibrium``) must agree with it to rounding.
 
 The second oracle is the scalar list kernel that the generated one
 replaced, kept verbatim (``_flow`` and ``_rk4_step``). It performs the
@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from conftest import fast_params, two_group_params
+from conftest import fast_params, march_equilibrium, two_group_params
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +37,7 @@ from diffusim import (
     ode_rhs,
 )
 from diffusim.errors import DomainError
-from diffusim.model import _kernel, _march_equilibrium, _population_error
+from diffusim.model import _kernel, _population_error
 
 # ------------------------------------------------------------------- oracle
 
@@ -198,7 +198,7 @@ def test_endemic_point_matches_the_oracle_march():
         p = fast.with_alpha(calibrate_alpha(fast, target))
         eq = disease_free_equilibrium(p)
         seed = ContinuousState(t=0.0, s=0.9 * eq.s_star, a=0.1 * eq.s_star, dd=eq.d_star)
-        got = _march_equilibrium(p, seed)
+        got = march_equilibrium(p, seed)
         want = oracle_endemic(p, seed)
         assert got.kind == "endemic"
         assert_close(np.concatenate([got.s_star, got.a_star, got.d_star]), want, 1e-12)
@@ -308,7 +308,7 @@ def list_integrate(params, init, cfg, logistic=None, n_steps=None):
 
 
 def list_endemic(params, seed_state, tol=1e-9, step=0.05, horizon=2e4):
-    """``_march_equilibrium`` on the list kernel: the point reached."""
+    """``march_equilibrium`` on the list kernel: the point reached."""
     f = _flow(params)
     y = [*seed_state.s.tolist(), *seed_state.a.tolist(), *seed_state.dd.tolist()]
     for _ in range(int(math.floor(horizon / step + 1e-9))):
@@ -346,7 +346,7 @@ def test_generated_flow_and_step_match_the_list_kernel_bit_for_bit(scenario, dat
     f = _flow(params, logistic)
     flow, step = _kernel(params, logistic)
     assert hexes(lambda: flow(*y)) == hexes(lambda: f(y))
-    assert hexes(lambda: step(y, flow(*y), h)) == hexes(lambda: _rk4_step(f, y, h))
+    assert hexes(lambda: step(y, h)) == hexes(lambda: _rk4_step(f, y, h))
 
 
 @pytest.mark.parametrize("r0", [0.9, 2.3])
@@ -367,7 +367,7 @@ def test_integrate_equals_the_list_kernel_march(scenario, coupled, r0):
 def test_endemic_point_equals_the_list_kernel_march(scenario, r0):
     base = two_group_params() if scenario == "table2" else fast_params()
     p, seed = seeded(base, r0, 0.01 if scenario == "table2" else 0.1)
-    got = _march_equilibrium(p, seed)
+    got = march_equilibrium(p, seed)
     np.testing.assert_array_equal(np.concatenate([got.s_star, got.a_star, got.d_star]), list_endemic(p, seed))
 
 
