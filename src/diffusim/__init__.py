@@ -36,14 +36,13 @@ from .errors import (
     StepSizeError,
 )
 from .integrate import IntegrationConfig, extinction_time_deterministic, integrate
-from .logistic import LogisticConfig, apply_logistic, effective_params_for_total, logistic_rates
+from .logistic import LogisticConfig
 from .model import (
     ContinuousState,
     EquilibriumPoint,
     ModelParams,
     disease_free_equilibrium,
     endemic_equilibrium,
-    force_of_activation,
     ode_rhs,
 )
 from .threshold import (
@@ -79,24 +78,20 @@ __all__ = [
     "StepSizeError",
     "TrajectoryTable",
     "TransitionTable",
-    "apply_logistic",
     "build_decomposition",
     "bundled_config",
     "calibrate_alpha",
     "canonical_events",
     "derive_replica_seed",
     "disease_free_equilibrium",
-    "effective_params_for_total",
     "endemic_equilibrium",
     "event_probabilities",
     "exact_propagation",
     "extinction_time_deterministic",
     "extinction_time_stochastic",
-    "force_of_activation",
     "format_value",
     "integrate",
     "load_config",
-    "logistic_rates",
     "max_stable_dt",
     "monte_carlo_mean",
     "ode_rhs",

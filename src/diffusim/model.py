@@ -1,10 +1,10 @@
-"""Model parameters, state containers, the activation force, and equilibria.
+"""Model parameters, state containers, the mean-field flow, and equilibria.
 
 The population is split into m groups per state: susceptible S_i, active
 A_i and deactivated D_i. Per-capita flows are
 
-    activation    S_i -> A_i   driven by the active groups (see
-                               :func:`force_of_activation`),
+    activation    S_i -> A_i   at rate sum_j lam_ij, driven by the active
+                               groups: lam_ij = alpha eps_i gamma_j a_j / n_total,
     withdrawal    S_i -> D_i   at rate rho_i,
     deactivation  A_i -> D_i   at rate phi_i,
     return        D_i -> S_i   at rate delta_i,
@@ -29,7 +29,6 @@ __all__ = [
     "ModelParams",
     "ContinuousState",
     "EquilibriumPoint",
-    "force_of_activation",
     "ode_rhs",
     "disease_free_equilibrium",
     "endemic_equilibrium",
@@ -172,29 +171,11 @@ class EquilibriumPoint:
     __eq__ = _fields_equal
 
 
-def force_of_activation(params: ModelParams, a: np.ndarray) -> np.ndarray:
-    """Pairwise activation pressure matrix for active counts ``a``.
-
-    Entry (i, j) is the rate at which one group-i susceptible is activated
-    by the group-j actives:
-
-        lam[i, j] = alpha * eps_i * gamma_j * a_j / n_total
-
-    Args:
-        params: model parameters.
-        a: length-m vector of active counts (or densities).
-
-    Returns:
-        The m-by-m matrix lam, entrywise nonnegative.
-    """
-    a = _state_array("a", a, params.m)
-    return params.alpha * np.outer(params.eps, params.gamma * a) / params.n_total
-
-
 def ode_rhs(params: ModelParams, state: ContinuousState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time derivative of (s, a, dd) under the mean-field flow.
 
-    Per group i, with lam from :func:`force_of_activation`:
+    Per group i, with the activation pressure
+    lam_ij = alpha eps_i gamma_j a_j / n_total:
 
         s' = b_i - sum_j lam_ij s_i - (d_i + rho_i) s_i + delta_i dd_i
         a' = sum_j lam_ij s_i - (d_i + phi_i) a_i
@@ -202,6 +183,9 @@ def ode_rhs(params: ModelParams, state: ContinuousState) -> tuple[np.ndarray, np
 
     Summed over states, each group obeys the balance
     s' + a' + dd' = b_i - d_i (s + a + dd).
+
+    Each call binds the kernel afresh, 7-8 us on table2 against under 1 us
+    for the flow itself, so a stepping loop should call ``integrate``.
 
     Returns:
         Tuple (ds, da, ddd) of length-m arrays.
@@ -305,9 +289,9 @@ def _kernel(params: ModelParams, logistic=None) -> tuple[Callable, Callable]:
     times cheaper than numpy calls on length-m arrays. With ``logistic``
     enabled (a :class:`~diffusim.logistic.LogisticConfig`), births
     r N / m per group, the death rate r N / K and the activation
-    denominator N follow the live population N = sum(y), as in
-    :func:`~diffusim.logistic.effective_params_for_total`; a negative or
-    non-finite N raises DomainError. Nothing else is validated.
+    denominator N follow the live population N = sum(y), as
+    :mod:`diffusim.logistic` states; a negative or non-finite N raises
+    DomainError. Nothing else is validated.
     """
     coupled = logistic is not None and logistic.enabled
     rates = {"gamma": params.gamma, "eps": params.eps, "rho": params.rho,
@@ -339,12 +323,18 @@ def disease_free_equilibrium(params: ModelParams) -> EquilibriumPoint:
         d*_i = b_i rho_i          / (d_i (d_i + delta_i + rho_i))
 
     Requires every d_i > 0 (otherwise no finite stationary point exists).
+    Raises NumericError, naming the group, when s*_i or d*_i is not
+    finite, as when the denominator underflows to 0.
     """
     if np.any(params.d <= 0):
         raise DomainError("disease-free equilibrium requires every death rate d_i > 0")
     denom = params.d * (params.d + params.delta + params.rho)
     s_star = params.b * (params.d + params.delta) / denom
     d_star = params.b * params.rho / denom
+    if not (np.isfinite(s_star) & np.isfinite(d_star)).all():
+        i = np.argmin(np.isfinite(s_star) & np.isfinite(d_star))
+        raise NumericError(f"disease-free equilibrium of group {i + 1} is not finite: "
+                           f"s* = {s_star[i]}, d* = {d_star[i]}")
     return EquilibriumPoint(s_star=s_star, a_star=np.zeros(params.m), d_star=d_star, kind="disease_free")
 
 
@@ -401,13 +391,16 @@ def endemic_equilibrium(
     exceeds ``extinction_threshold``, disease_free otherwise.
 
     Raises:
-        DomainError: if the seed has no active mass at all; if a group
+        DomainError: if ``extinction_threshold`` is negative or not
+            finite; if the seed has no active mass at all; if a group
             has d_i = 0 < b_i, since it grows without bound; or if a
             conserved group has phi_i (delta_i + rho_i) = 0, since its
             rest point at W = 0 is not unique. The message names the
             first such group, counting from 1.
         NumericError: if the bracket sum_i gamma_i c_i or R0 overflows.
     """
+    if not 0.0 <= extinction_threshold < math.inf:
+        raise DomainError(f"extinction_threshold must be nonnegative and finite, got {extinction_threshold!r}")
     _check_seed_state(params, seed_state)
     kept = params.d == 0
     grows = np.flatnonzero(kept & (params.b > 0))

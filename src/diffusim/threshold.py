@@ -93,8 +93,6 @@ def build_decomposition(params: ModelParams) -> NextGenDecomposition:
     """
     dfe = disease_free_equilibrium(params)
     exit_rate = params.d + params.phi
-    if np.any(exit_rate <= 0):
-        raise DomainError("every d_i + phi_i must be positive")
     f = params.alpha * np.outer(params.eps * dfe.s_star, params.gamma) / params.n_total
     v = np.diag(exit_rate)
     k = f / exit_rate[np.newaxis, :]
@@ -109,8 +107,6 @@ def r0_rank_one(params: ModelParams) -> float:
     """
     dfe = disease_free_equilibrium(params)
     exit_rate = params.d + params.phi
-    if np.any(exit_rate <= 0):
-        raise DomainError("every d_i + phi_i must be positive")
     return float(np.sum(params.alpha * params.eps * params.gamma * dfe.s_star / (params.n_total * exit_rate)))
 
 

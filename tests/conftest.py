@@ -1,13 +1,14 @@
 """Shared builders and oracles for the test suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 
 from diffusim import FULL, PAPER_LITERAL, ContinuousState, DiscreteState, LogisticConfig, ModelParams
 from diffusim.errors import ConvergenceError, NumericError
-from diffusim.model import _check_seed_state, _kernel, _tagged
+from diffusim.model import _check_seed_state, _kernel, _population_error, _tagged
 
 
 def two_group_params(alpha: float = 1.0) -> ModelParams:
@@ -140,3 +141,38 @@ def march_equilibrium(
         )
     y = np.array(y)
     return _tagged(y[:m], y[m : 2 * m], y[2 * m :], extinction_threshold)
+
+
+# The logistic law as ModelParams at a given population: the oracle for the
+# generated kernel's inline logistic flow.
+
+
+def logistic_rates(cfg: LogisticConfig, n: float) -> tuple[float, float]:
+    """Total birth inflow and per-capita death rate at population n."""
+    n = float(n)
+    if not np.isfinite(n) or n < 0:
+        raise _population_error(n)
+    return cfg.growth_rate * n, cfg.growth_rate * n / cfg.capacity
+
+
+def effective_params_for_total(params: ModelParams, cfg: LogisticConfig, total: float) -> ModelParams:
+    """Params with b, d and the activation denominator tied to ``total``."""
+    if not cfg.enabled:
+        return params
+    birth_total, death = logistic_rates(cfg, total)
+    b = np.full(params.m, birth_total / params.m)
+    d = np.full(params.m, death)
+    # an empty population has no activation anyway; keep the denominator valid
+    n_total = total if total > 0 else params.n_total
+    return replace(params, b=b, d=d, n_total=n_total)
+
+
+def apply_logistic(params: ModelParams, cfg: LogisticConfig, state) -> ModelParams:
+    """Effective parameters at ``state`` under the logistic coupling.
+
+    ``state`` only contributes its instantaneous population
+    N(t) = sum(s) + sum(a) + sum(dd). With the coupling disabled the
+    params are returned unchanged.
+    """
+    total = float(np.sum(state.s) + np.sum(state.a) + np.sum(state.dd))
+    return effective_params_for_total(params, cfg, total)

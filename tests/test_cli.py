@@ -230,6 +230,14 @@ def test_negative_logistic_stage_exits_3(tmp_path, capsys):
     assert "at t = 0.5 (step 0.1); decrease the step size" in err
 
 
+def test_an_underflowing_disease_free_point_exits_3(tmp_path, capsys):
+    # table2 with d_2 = 5e-324: d (d + delta + rho) underflows to 0
+    cfg = write_cfg(tmp_path, bundled_config().replace("d = 0.01, 0.01", "d = 0.01, 5e-324"))
+    with np.errstate(all="ignore"):
+        assert main(["r0", "--config", cfg]) == 3
+    assert "disease-free equilibrium of group 2 is not finite" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------- reproducibility
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import two_group_params
+from conftest import apply_logistic, logistic_rates, two_group_params
 
 from diffusim import (
     FULL,
@@ -12,11 +12,9 @@ from diffusim import (
     IntegrationConfig,
     LogisticConfig,
     ModelParams,
-    apply_logistic,
     calibrate_alpha,
     disease_free_equilibrium,
     integrate,
-    logistic_rates,
     monte_carlo_mean,
     simulate_replica,
 )

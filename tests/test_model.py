@@ -13,7 +13,6 @@ from diffusim import (
     ModelParams,
     disease_free_equilibrium,
     endemic_equilibrium,
-    force_of_activation,
     ode_rhs,
 )
 from diffusim.errors import ConvergenceError, DomainError, NumericError
@@ -95,10 +94,18 @@ def test_state_rejects_negative_and_wrong_length():
 # ---------------------------------------------------- activation pressure
 
 
+def activation(params: ModelParams, a: np.ndarray) -> np.ndarray:
+    """``ode_rhs``'s a' on the demo susceptibles with d = phi = 0: the
+    activation term sum_j lam_ij s_i alone."""
+    state = ContinuousState(t=0.0, s=demo_state().s, a=a, dd=np.zeros(params.m))
+    return ode_rhs(replace(params, d=0.0, phi=0.0), state)[1]
+
+
 def test_activation_pressure_matrix_on_demo_state():
-    lam = force_of_activation(two_group_params(), demo_state().a)
+    lam = np.array([[0.032, 0.0224], [0.048, 0.0336]])
     np.testing.assert_allclose(
-        lam, np.array([[0.032, 0.0224], [0.048, 0.0336]]), rtol=0.0, atol=1e-15
+        activation(two_group_params(), demo_state().a), lam.sum(axis=1) * demo_state().s,
+        rtol=0.0, atol=1e-15,
     )
 
 
@@ -106,13 +113,12 @@ def test_activation_pressure_scales_linearly_with_alpha():
     p = two_group_params()
     a = demo_state().a
     np.testing.assert_allclose(
-        force_of_activation(p.with_alpha(3.0), a), 3.0 * force_of_activation(p, a)
+        activation(p.with_alpha(3.0), a), 3.0 * activation(p, a)
     )
 
 
 def test_activation_pressure_zero_without_actives():
-    lam = force_of_activation(two_group_params(), np.zeros(2))
-    np.testing.assert_array_equal(lam, np.zeros((2, 2)))
+    np.testing.assert_array_equal(activation(two_group_params(), np.zeros(2)), np.zeros(2))
 
 
 # ---------------------------------------------------------------- flow field
@@ -418,6 +424,16 @@ def test_closed_form_route_refuses_an_overflowing_bracket():
     seed = ContinuousState(t=0.0, s=[1.0], a=[1.0], dd=[0.0])
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
         endemic_equilibrium(p, seed)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+def test_extinction_threshold_must_be_finite_and_nonnegative(threshold):
+    # accepted, nan and inf would tag this 0.62-active point disease_free, and -1 any point endemic
+    base = two_group_params()
+    p = base.with_alpha(calibrate_alpha(base, 2.3))
+    assert float(endemic_equilibrium(p, seeded_state(p)).a_star.sum()) == pytest.approx(0.62, abs=0.01)
+    with pytest.raises(DomainError, match="extinction_threshold must be nonnegative and finite"):
+        endemic_equilibrium(p, seeded_state(p), extinction_threshold=threshold)
 
 
 def test_endemic_point_below_threshold_equals_the_dfe():

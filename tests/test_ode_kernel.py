@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from conftest import fast_params, march_equilibrium, two_group_params
+from conftest import effective_params_for_total, fast_params, march_equilibrium, two_group_params
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,6 @@ from diffusim import (
     ModelParams,
     calibrate_alpha,
     disease_free_equilibrium,
-    effective_params_for_total,
     integrate,
     ode_rhs,
 )
@@ -219,7 +218,7 @@ def _flow(params: ModelParams, logistic=None) -> Callable[[list[float]], list[fl
     :class:`~diffusim.logistic.LogisticConfig`), births r N / m per group,
     the death rate r N / K and the activation denominator N follow the
     live population N = sum(y), as in
-    :func:`~diffusim.logistic.effective_params_for_total`; a negative or
+    ``conftest.effective_params_for_total``; a negative or
     non-finite N raises DomainError. Nothing else is validated.
     """
     m, m2 = params.m, 2 * params.m

@@ -14,7 +14,7 @@ from diffusim import (
     r0_rank_one,
     spectral_radius,
 )
-from diffusim.errors import DomainError
+from diffusim.errors import DomainError, NumericError
 
 
 # ------------------------------------------------------------ spectral radius
@@ -158,3 +158,16 @@ def test_calibration_rejects_zero_transmission():
                      gamma=np.zeros(2))
     with pytest.raises(DomainError):
         calibrate_alpha(silent, 1.4)
+
+
+@pytest.mark.parametrize("route", [disease_free_equilibrium, r0_rank_one, build_decomposition, calibrate_alpha])
+def test_an_underflowing_disease_free_point_is_refused(route):
+    # d_2 (d_2 + delta + rho) underflows to 0, so s*_2 = d*_2 = inf; accepted,
+    # that point would make calibrate_alpha return alpha = 0.0 for an R0 of nan
+    p = ModelParams(m=2, n_total=100.0, alpha=1.0, b=0.1, d=[0.01, 5e-324], rho=0.1,
+                    delta=0.1, phi=0.1, eps=1.0, gamma=1.0)
+    args = (p, 2.0) if route is calibrate_alpha else (p,)
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericError, match=r"^disease-free equilibrium of group 2 is not finite: s\* = inf, d\* = inf$"
+    ):
+        route(*args)
