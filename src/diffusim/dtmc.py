@@ -38,7 +38,9 @@ Reproducibility contract:
   derive_replica_seed(seed, r): the SplitMix64 finalizer applied to
   (seed + (r + 1) * 0x9E3779B97F4A7C15) mod 2^64. A batch's seeds and
   PCG64 seeding words are computed in one array pass; each generator is
-  then the stream of ``PCG64(derive_replica_seed(seed, r))`` exactly.
+  then the stream of ``PCG64(derive_replica_seed(seed, r))`` exactly. A
+  short run's uniforms are computed from the words by PCG64's closed-form
+  jump, with no generator, and are that same stream.
 * Ensemble reductions are exact integer sums over fixed chunks of 256
   replicas, combined in index order. A single replica's trajectory is
   the same sum over a one-replica batch.
@@ -180,6 +182,103 @@ class _Words(ISeedSequence):
     def generate_state(self, n_words, dtype=np.uint32):
         # PCG64 asks for exactly the four uint64 words the row holds
         return self.words
+
+
+# numpy's PCG64: a 128-bit LCG, state -> state * _PCG_MULT + inc (mod 2^128)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_jumps(k: int) -> np.ndarray:
+    """Jump constants of draws 0 .. k-1 from the seeding sum x = state + inc.
+
+    Seeding steps from 0 to inc, adds the state and steps again, and each
+    draw steps before its output, so draw j reads the state
+    A x + G inc (mod 2^128) with A = MULT^(j+2) and G = sum_{i < j+2} MULT^i.
+    Rows: the low 64 bits of A, their low and high 32-bit halves, the
+    high 64 bits of A, then the same four for G; one column per draw.
+    """
+    rows = []
+    a, g = _PCG_MULT, 1
+    for _ in range(k):
+        a, g = (a * _PCG_MULT) & _MASK128, (g * _PCG_MULT + 1) & _MASK128
+        a_lo, g_lo = a & _MASK64, g & _MASK64
+        rows.append([a_lo, a_lo & 0xFFFFFFFF, a_lo >> 32, a >> 64, g_lo, g_lo & 0xFFFFFFFF, g_lo >> 32, g >> 64])
+    return np.array(rows, dtype=np.uint64).T
+
+
+# a run of at most this many epochs draws its uniforms from the words in
+# one array pass instead of from a Generator per replica; per replica the
+# two cost the same between 56 and 64 draws (see CHANGES.md)
+_ARRAY_DRAW_EPOCHS = 56
+# draws computed per array pass; its scratch is three (draws, replicas)
+# uint64 arrays
+_ARRAY_DRAW_COLUMNS = 10
+_JUMPS = _pcg64_jumps(_ARRAY_DRAW_EPOCHS)[:, :, None]
+
+
+def _pcg64_uniforms(words: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write ``PCG64`` draws 0 .. k-1 of each row of ``words`` into ``out[:, :k]``.
+
+    Row i of ``out`` gets ``Generator(PCG64(_Words(words[i]))).random(k)``
+    bit for bit, from the closed-form jump of :func:`_pcg64_jumps`, with
+    no bit generator. As numpy's ``pcg_setseq_128_srandom_r`` seeds them,
+    the state is ``(word 0 << 64) | word 1`` and the increment
+    ``inc = (((word 2 << 64) | word 3) << 1) | 1``; draw j is the XSL-RR
+    output of ``A_j x + G_j inc`` (x = state + inc, all mod 2^128) as
+    ``(output >> 11) * 2^-53``. The 128-bit sums are built from uint64
+    limbs, the high halves of the limb products from 32-bit halves. Draws
+    are computed ``_ARRAY_DRAW_COLUMNS`` at a time, one row per draw, and
+    ``k`` is at most ``_ARRAY_DRAW_EPOCHS``.
+    """
+    u64 = np.uint64
+    one, low, half = u64(1), u64(0xFFFFFFFF), u64(32)
+    w0, w1, w2, w3 = words.T
+    inc_lo = (w3 << one) | one
+    inc_hi = (w2 << one) | (w3 >> u64(63))
+    x_lo = w1 + inc_lo
+    x_hi = w0 + inc_hi
+    x_hi += x_lo < w1
+    halves = ((x_lo & low, x_lo >> half), (inc_lo & low, inc_lo >> half))
+    hi_buf = np.empty((min(_ARRAY_DRAW_COLUMNS, k), words.shape[0]), dtype=np.uint64)
+    lo_buf = np.empty_like(hi_buf)
+    t_buf = np.empty_like(hi_buf)
+    for c in range(0, k, _ARRAY_DRAW_COLUMNS):
+        w = min(_ARRAY_DRAW_COLUMNS, k - c)
+        a_lo, a0, a1, a_hi, g_lo, g0, g1, g_hi = _JUMPS[:, c : c + w]
+        hi, lo, t = hi_buf[:w], lo_buf[:w], t_buf[:w]
+        # high 64 bits: the cross products ...
+        np.multiply(a_hi, x_lo, out=hi)
+        hi += np.multiply(a_lo, x_hi, out=t)
+        hi += np.multiply(g_hi, inc_lo, out=t)
+        hi += np.multiply(g_lo, inc_hi, out=t)
+        # ... plus the high halves of a_lo x_lo and g_lo inc_lo
+        for (m0, m1), (y0, y1) in zip(((a0, a1), (g0, g1)), halves):
+            np.multiply(m0, y0, out=t)
+            t >>= half
+            np.multiply(m1, y0, out=lo)
+            lo += t  # m1 y0 + (m0 y0 >> 32) < 2^64
+            hi += np.right_shift(lo, half, out=t)
+            lo &= low
+            lo += np.multiply(m0, y1, out=t)  # m0 y1 + a 32-bit value < 2^64
+            lo >>= half
+            hi += lo
+            hi += np.multiply(m1, y1, out=t)
+        # low 64 bits, and their carry into the high ones
+        np.multiply(a_lo, x_lo, out=lo)
+        lo += np.multiply(g_lo, inc_lo, out=t)
+        hi += lo < t
+        # XSL-RR: rotate hi ^ lo right by the top six bits of hi
+        lo ^= hi
+        hi >>= u64(58)
+        np.right_shift(lo, hi, out=t)
+        np.subtract(u64(64), hi, out=hi)
+        hi &= u64(63)
+        lo <<= hi
+        t |= lo
+        t >>= u64(11)
+        out[:, c : c + w] = t.T
+    out[:, :k] *= 2.0**-53
 
 
 class Event(NamedTuple):
@@ -463,6 +562,7 @@ class _RunOutput:
     final: np.ndarray                     # (replicas, 3m) last simulated state
     sums: np.ndarray | None = None        # (samples, 3m) int64 sum over replicas
     sumsq: np.ndarray | None = None       # (samples, 3m) int64 sum of squares
+    # sums and sumsq are the two halves of one (samples, 2, 3m) array
 
 
 def _run_replicas(
@@ -484,8 +584,11 @@ def _run_replicas(
     finds in each block the first epoch at or after the pointer whose
     uniform fires an event, applies that event and moves the pointer past
     it. A replica whose block holds no further event moves to the block's
-    end and draws the next block. Samples are recorded as per-sample
-    differences and summed at the end.
+    end and draws the next block. A run of at most ``_ARRAY_DRAW_EPOCHS``
+    epochs is one block, drawn for the whole batch by
+    :func:`_pcg64_uniforms`; longer runs draw from one Generator per
+    replica. Samples are recorded as per-sample differences and summed at
+    the end.
 
     ``stride`` chooses the run. With ``stride > 0`` every replica runs all
     ``n_epochs`` and the state is sampled every ``stride`` epochs, as the
@@ -516,10 +619,9 @@ def _run_replicas(
     out = _RunOutput(ext_epoch=ext, final=state)
     n_samples = (n_epochs // stride + 1) if stride else 0
     if stride:
-        out.sums = sums = np.zeros((n_samples, 3 * m), dtype=np.int64)
-        out.sumsq = sumsq = np.zeros_like(sums)
-        sums[0] = state.sum(axis=0)
-        sumsq[0] = np.square(state).sum(axis=0)
+        moments = np.zeros((n_samples, 2, 3 * m), dtype=np.int64)
+        moments[0, 0] = state.sum(axis=0)
+        moments[0, 1] = np.square(state).sum(axis=0)
 
     # slot i runs replica rid[i]; its buffer row holds the uniforms of
     # epochs base[i] .. base[i] + block - 1, padded with 2.0 (never fires)
@@ -531,11 +633,15 @@ def _run_replicas(
     block = min(_REPLAY_BLOCK, n_epochs)
     buf = np.full((n, block), 2.0)
     words = _pcg64_words(np.asarray(seeds, dtype=np.uint64)[rid])
-    gens: list[np.random.Generator | None] = []
-    for i in range(n):
-        g = np.random.Generator(np.random.PCG64(_Words(words[i])))
-        g.random(out=buf[i])
-        gens.append(g if block < n_epochs else None)
+    gens: list[np.random.Generator | None] = [None] * n
+    if n_epochs <= _ARRAY_DRAW_EPOCHS:
+        _pcg64_uniforms(words, n_epochs, buf)
+    else:
+        for i in range(n):
+            g = np.random.Generator(np.random.PCG64(_Words(words[i])))
+            g.random(out=buf[i])
+            if block < n_epochs:
+                gens[i] = g
     base = np.zeros(n, dtype=np.int64)
     ptr = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
@@ -578,9 +684,17 @@ def _run_replicas(
             done = ptr[ev]  # epochs simulated once the event has happened
             if stride:
                 k = -(-done // stride)  # first sample that includes the event
-                seen = k < n_samples
-                np.add.at(sums, k[seen], d[seen])
-                np.add.at(sumsq, k[seen], (new * new - old * old)[seen])
+                # an event adds d to its sample's sum and new^2 - old^2 = d (old + new)
+                # to its sum of squares
+                step = np.empty((ev.size, 2, 3 * m), dtype=np.int64)
+                step[:, 0] = d
+                np.add(old, new, out=step[:, 1])
+                step[:, 1] *= d
+                if n_epochs % stride:  # an event after the last sample is in none
+                    seen = k < n_samples
+                    k, step = k[seen], step[seen]
+                np.add.at(moments, k, step)
+                del step  # freed before the next round, so the peak stays per round
             gone = (ext[r] < 0) & (new[:, m : 2 * m].sum(axis=1) == 0)
             ext[r[gone]] = done[gone]
             if not stride:
@@ -611,8 +725,8 @@ def _run_replicas(
             ahead = np.empty_like(hit)
 
     if stride:
-        np.cumsum(sums, axis=0, out=sums)
-        np.cumsum(sumsq, axis=0, out=sumsq)
+        np.cumsum(moments, axis=0, out=moments)
+        out.sums, out.sumsq = moments[:, 0], moments[:, 1]
     return out
 
 

@@ -328,9 +328,11 @@ def disease_free_equilibrium(params: ModelParams) -> EquilibriumPoint:
     """
     if np.any(params.d <= 0):
         raise DomainError("disease-free equilibrium requires every death rate d_i > 0")
-    denom = params.d * (params.d + params.delta + params.rho)
-    s_star = params.b * (params.d + params.delta) / denom
-    d_star = params.b * params.rho / denom
+    # a non-finite point is refused below, without numpy's warnings first
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        denom = params.d * (params.d + params.delta + params.rho)
+        s_star = params.b * (params.d + params.delta) / denom
+        d_star = params.b * params.rho / denom
     if not (np.isfinite(s_star) & np.isfinite(d_star)).all():
         i = np.argmin(np.isfinite(s_star) & np.isfinite(d_star))
         raise NumericError(f"disease-free equilibrium of group {i + 1} is not finite: "
@@ -414,14 +416,17 @@ def endemic_equilibrium(
     totals = np.where(kept, seed_state.s + seed_state.a + seed_state.dd, 0.0)
     # a conserved group sees d = 1 and b = 0 below; np.where replaces its terms
     d = np.where(kept, 1.0, params.d)
-    ratio = _activation_ratio(params, totals)
+    # an overflowing R0 or bracket is refused below, without numpy's warnings first
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = _activation_ratio(params, totals)
+        hi = float(np.sum(params.gamma * np.where(kept, totals, params.b) / d))
     r0 = ratio(0.0)
     if r0 <= 1.0:
         if not kept.any():
             return disease_free_equilibrium(params)
         w = 0.0
     else:
-        lo, hi = 0.0, float(np.sum(params.gamma * np.where(kept, totals, params.b) / d))
+        lo = 0.0
         # every rest_i > 0, so an infinite or nan R0 can only be an overflow
         if not (math.isfinite(hi) and math.isfinite(r0)):
             raise NumericError(f"rest-point bracket sum_i gamma_i c_i = {hi} or R0 = {r0} is not finite")

@@ -93,9 +93,11 @@ def build_decomposition(params: ModelParams) -> NextGenDecomposition:
     """
     dfe = disease_free_equilibrium(params)
     exit_rate = params.d + params.phi
-    f = params.alpha * np.outer(params.eps * dfe.s_star, params.gamma) / params.n_total
+    # spectral_radius refuses an overflowing k, without numpy's warnings first
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = params.alpha * np.outer(params.eps * dfe.s_star, params.gamma) / params.n_total
+        k = f / exit_rate[np.newaxis, :]
     v = np.diag(exit_rate)
-    k = f / exit_rate[np.newaxis, :]
     return NextGenDecomposition(f=f, v=v, k=k, r0=spectral_radius(k))
 
 

@@ -1,8 +1,14 @@
 """Command line: summaries, CSV contracts, exit codes, reproducibility."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import diffusim
 from diffusim.cli import main
 from diffusim.config import bundled_config
 
@@ -236,6 +242,18 @@ def test_an_underflowing_disease_free_point_exits_3(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["r0", "--config", cfg]) == 3
     assert "disease-free equilibrium of group 2 is not finite" in capsys.readouterr().err
+
+
+def test_an_underflowing_disease_free_point_prints_only_the_error_line(tmp_path):
+    # in a fresh interpreter, where numpy's RuntimeWarnings would reach stderr
+    cfg = write_cfg(tmp_path, bundled_config().replace("d = 0.01, 0.01", "d = 0.01, 5e-324"))
+    src = str(Path(diffusim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "diffusim", "r0", "--config", cfg], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: disease-free equilibrium of group 2 is not finite: "
+                           "s* = inf, d* = inf\n")
 
 
 # ----------------------------------------------------------- reproducibility

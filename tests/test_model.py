@@ -1,5 +1,6 @@
 """Core model: parameters, activation pressure, flow field, equilibria."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -590,6 +591,29 @@ def test_overflowing_threshold_ratio_is_refused():
     seed = ContinuousState(t=0.0, s=np.array([0.0]), a=np.array([1e308]), dd=np.array([0.0]))
     with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"R0 = inf is not finite"):
         endemic_equilibrium(p, seed)
+
+
+def _one_group(**rates):
+    return ModelParams(**{**dict(m=1, n_total=100.0, alpha=1.0, b=0.0, d=0.0, rho=0.1,
+                                 delta=0.1, phi=0.1, eps=1.0, gamma=1.0), **rates})
+
+
+def _seeded(a0):
+    return ContinuousState(t=0.0, s=[0.0], a=[a0], dd=[0.0])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: endemic_equilibrium(_one_group(b=1.0, d=5e-324), _seeded(1.0)), "bracket .* is not finite"),
+    (lambda: endemic_equilibrium(_one_group(gamma=10.0), _seeded(1e308)), "bracket .* is not finite"),
+    (lambda: endemic_equilibrium(_one_group(alpha=1000.0, delta=0.5), _seeded(1e308)), "R0 = inf is not finite"),
+    (lambda: disease_free_equilibrium(_one_group(b=1.0, d=5e-324)), "group 1 is not finite"),
+], ids=["bracket", "conserved_bracket", "threshold_ratio", "disease_free_point"])
+def test_refused_points_raise_before_any_numpy_warning(call, match):
+    # the inputs of the overflow tests above, with every warning an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=match):
+            call()
 
 
 @pytest.mark.parametrize("phi, delta, rho", [(0.0, 0.0, 0.2), (0.0, 0.03, 0.2), (0.03, 0.0, 0.0)])

@@ -27,7 +27,8 @@ from diffusim import (
     monte_carlo_mean,
     simulate_replica,
 )
-from diffusim.dtmc import _Engine, _run_replicas, _select
+from diffusim import dtmc
+from diffusim.dtmc import _ARRAY_DRAW_EPOCHS, _Engine, _run_replicas, _select
 from diffusim.errors import StepSizeError
 
 
@@ -158,6 +159,32 @@ def test_zero_epochs_return_the_initial_state():
     seeds = [1, 2, 3]
     assert assert_replay_matches_stepper(p, PAPER_LITERAL, None, init, 0.05, 0, seeds, 1)
     assert assert_replay_matches_stepper(p, PAPER_LITERAL, None, init, 0.05, 0, seeds, 0)
+
+
+@pytest.mark.parametrize("n_epochs", [_ARRAY_DRAW_EPOCHS, _ARRAY_DRAW_EPOCHS + 1])
+@pytest.mark.parametrize("stride", [0, 1, 7])
+def test_replay_matches_the_stepper_on_both_sides_of_the_array_draw(n_epochs, stride):
+    # the bound is drawn from the seeding words, one epoch more from Generators;
+    # events are dense, and stride 7 divides one horizon but not the other
+    p = single_group_params(alpha=1.5)
+    init = DiscreteState(s=np.array([10]), a=np.array([5]), dd=np.array([5]))
+    seeds = [derive_replica_seed(31, r) for r in range(40)]
+    assert assert_replay_matches_stepper(p, PAPER_LITERAL, None, init, 0.05, n_epochs, seeds, stride)
+    # one-replica batches; with stride > 0 the check above replays every seed alone too
+    for seed in seeds[:3]:
+        assert assert_replay_matches_stepper(p, PAPER_LITERAL, None, init, 0.05, n_epochs, [seed], stride)
+
+
+def test_a_run_that_fits_the_array_draw_builds_no_generator(monkeypatch):
+    def refuse(words):
+        raise AssertionError("built a generator")
+
+    monkeypatch.setattr(dtmc, "_Words", refuse)
+    p = single_group_params()
+    init = DiscreteState(s=np.array([10]), a=np.array([5]), dd=np.array([5]))
+    _run_replicas(p, PAPER_LITERAL, None, init, 0.05, _ARRAY_DRAW_EPOCHS, [1, 2], stride=1)
+    with pytest.raises(AssertionError, match="built a generator"):
+        _run_replicas(p, PAPER_LITERAL, None, init, 0.05, _ARRAY_DRAW_EPOCHS + 1, [1, 2], stride=1)
 
 
 @st.composite

@@ -3,8 +3,9 @@
 ``_replica_seeds`` must give ``derive_replica_seed`` for every replica,
 ``_pcg64_words`` must give ``SeedSequence(s).generate_state(4, np.uint64)``
 for every seed, and a generator built from those words must draw the
-stream of ``PCG64(s)``. Ensembles seeded this way must equal their
-replicas run one at a time through ``simulate_replica``.
+stream of ``PCG64(s)``, as must the array draw ``_pcg64_uniforms`` from
+the words alone. Ensembles seeded this way must equal their replicas run
+one at a time through ``simulate_replica``.
 """
 
 import numpy as np
@@ -22,7 +23,14 @@ from diffusim import (
     monte_carlo_mean,
     simulate_replica,
 )
-from diffusim.dtmc import _pcg64_words, _replica_seeds, _Words
+from diffusim.dtmc import (
+    _ARRAY_DRAW_COLUMNS,
+    _ARRAY_DRAW_EPOCHS,
+    _pcg64_uniforms,
+    _pcg64_words,
+    _replica_seeds,
+    _Words,
+)
 from diffusim.errors import DomainError
 
 EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
@@ -55,6 +63,63 @@ def test_generator_from_words_draws_the_pcg64_stream(seed):
     # drawn in replay's 256-uniform blocks, across three refills
     got = np.concatenate([gen.random(256) for _ in range(4)])[:1000]
     np.testing.assert_array_equal(got, np.random.Generator(np.random.PCG64(seed)).random(1000))
+
+
+# k = 1, each side of every column-group edge, and the block bound
+DRAW_LENGTHS = sorted({1, _ARRAY_DRAW_EPOCHS} | {
+    k for edge in range(_ARRAY_DRAW_COLUMNS, _ARRAY_DRAW_EPOCHS + 1, _ARRAY_DRAW_COLUMNS)
+    for k in (edge, edge + 1) if k <= _ARRAY_DRAW_EPOCHS
+})
+
+
+def array_draws(words, k):
+    out = np.full((len(words), k), 2.0)
+    _pcg64_uniforms(np.asarray(words, dtype=np.uint64), k, out)
+    return out
+
+
+def generator_draws(words, k):
+    return np.stack([np.random.Generator(np.random.PCG64(_Words(np.asarray(w, dtype=np.uint64)))).random(k)
+                     for w in words])
+
+
+@pytest.mark.parametrize("k", DRAW_LENGTHS)
+def test_array_draw_is_the_pcg64_stream_at_the_edge_seeds(k):
+    got = array_draws(_pcg64_words(np.array(EDGE_SEEDS, dtype=np.uint64)), k)
+    want = np.stack([np.random.Generator(np.random.PCG64(s)).random(k) for s in EDGE_SEEDS])
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(1, _ARRAY_DRAW_EPOCHS))
+def test_array_draw_is_the_pcg64_stream(seed, k):
+    got = array_draws(_pcg64_words(np.array([seed], dtype=np.uint64)), k)
+    assert got.tobytes() == np.random.Generator(np.random.PCG64(seed)).random(k).tobytes()
+
+
+TOP = 2**64 - 1
+HAND_WORDS = [
+    [0, TOP, 0, 0],                 # state_lo + inc_lo carries with inc = 1
+    [0, 2**63, 0, 2**62],           # 2^63 + (2^63 + 1) carries by one
+    [TOP, TOP, TOP, TOP],           # every sum and product wraps
+    [0, 0, 0, 2**63],               # word 3's top bit moves into inc's high half
+    [2**63, TOP - 5, 2**63 - 1, 2**63 + 7],
+    [0, 0, 0, 0],
+]
+
+
+@pytest.mark.parametrize("k", [1, _ARRAY_DRAW_COLUMNS + 1, _ARRAY_DRAW_EPOCHS])
+def test_array_draw_carries_and_wraps_like_pcg64(k):
+    got = array_draws(HAND_WORDS, k)
+    assert got.tobytes() == generator_draws(HAND_WORDS, k).tobytes()
+
+
+def test_array_draw_writes_only_the_first_k_columns():
+    words = _pcg64_words(_replica_seeds(3, 0, 5))
+    out = np.full((5, 12), 2.0)
+    _pcg64_uniforms(words, 7, out)
+    assert out[:, :7].tobytes() == generator_draws(words, 7).tobytes()
+    assert (out[:, 7:] == 2.0).all()
 
 
 def test_replica_seeds_match_the_published_vectors():

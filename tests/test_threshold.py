@@ -1,5 +1,7 @@
 """Reproduction number: spectral radius, decomposition, calibration."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_params, two_group_params
@@ -14,7 +16,7 @@ from diffusim import (
     r0_rank_one,
     spectral_radius,
 )
-from diffusim.errors import DomainError, NumericError
+from diffusim.errors import DiffusionError, DomainError, NumericError
 
 
 # ------------------------------------------------------------ spectral radius
@@ -171,3 +173,15 @@ def test_an_underflowing_disease_free_point_is_refused(route):
         NumericError, match=r"^disease-free equilibrium of group 2 is not finite: s\* = inf, d\* = inf$"
     ):
         route(*args)
+
+
+def test_an_overflowing_decomposition_is_refused_before_any_numpy_warning():
+    # s*_1 is finite, but alpha eps_1 s*_1 gamma_1 / n_total overflows
+    p = two_group_params(alpha=1e10)
+    p = ModelParams(m=2, n_total=p.n_total, alpha=p.alpha, b=[1e305, 0.01], d=p.d, rho=p.rho,
+                    delta=p.delta, phi=p.phi, eps=p.eps, gamma=p.gamma)
+    assert np.isfinite(disease_free_equilibrium(p).s_star).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DiffusionError, match="finite"):
+            build_decomposition(p)
