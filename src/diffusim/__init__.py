@@ -29,7 +29,6 @@ from .dtmc import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DiffusionError,
     DomainError,
     NumericError,
@@ -50,7 +49,6 @@ from .threshold import (
     build_decomposition,
     calibrate_alpha,
     r0_rank_one,
-    spectral_radius,
 )
 from .trajectory import TrajectoryTable, format_value
 
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ContinuousState",
     "ConfigError",
-    "ConvergenceError",
     "DiffusionError",
     "DiscreteState",
     "DomainError",
@@ -99,6 +96,5 @@ __all__ = [
     "r0_rank_one",
     "render_config",
     "simulate_replica",
-    "spectral_radius",
     "__version__",
 ]

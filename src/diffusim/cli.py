@@ -5,8 +5,7 @@ name of a bundled scenario such as ``table2``) and takes only the flags
 it reads. ``r0`` and ``calibrate`` print a summary to stdout; the others
 write CSV to ``--out``, the config's ``out`` path, or stdout. Exit
 codes: 0 on success, 2 for configuration and domain errors, 3 for
-numeric failures (step size too large, non-finite state, no
-convergence).
+numeric failures (step size too large, non-finite state or R0).
 """
 
 from __future__ import annotations

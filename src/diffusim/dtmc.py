@@ -359,9 +359,6 @@ class TransitionTable:
     probabilities: dict[Event, float]
     dt: float
 
-    def total_event_probability(self) -> float:
-        return sum(p for ev, p in self.probabilities.items() if ev.kind != "no_event")
-
     @property
     def no_event(self) -> float:
         return self.probabilities[Event("no_event", None)]
@@ -505,20 +502,17 @@ def event_probabilities(params: ModelParams, state: DiscreteState, dt: float, mo
     return TransitionTable(probabilities=probs, dt=float(dt))
 
 
-def max_stable_dt(
-    params: ModelParams,
-    n: float,
-    safety: float = 0.9,
-    *,
-    horizon: float = math.inf,
-    logistic: LogisticConfig | None = None,
-) -> float:
+# the fraction of the rate bound's reciprocal that max_stable_dt returns
+_STABILITY_SAFETY = 0.9
+
+
+def max_stable_dt(params: ModelParams, n: float, *, logistic: LogisticConfig | None = None) -> float:
     """Largest epoch length guaranteed valid for compartment counts up to n.
 
     Bounds the total event rate by maximizing every channel independently
     with all compartment counts at ``n`` (full-mode channels included, so
-    the bound covers both modes) and returns safety divided by the bound.
-    With every rate zero the bound is vacuous and ``horizon`` is returned.
+    the bound covers both modes) and returns 0.9 divided by the bound.
+    With every rate zero the bound is vacuous and ``math.inf`` is returned.
 
     With ``logistic`` enabled, birth and death rates scale with the live
     population, so the bound instead covers every population up to
@@ -530,9 +524,6 @@ def max_stable_dt(
     n = float(n)
     if not np.isfinite(n) or n < 1:
         raise DomainError(f"n must be at least 1, got {n!r}")
-    safety = float(safety)
-    if not (0 < safety <= 1):
-        raise DomainError(f"safety must be in (0, 1], got {safety!r}")
     if logistic is not None and logistic.enabled:
         pop = max(n, 1.5 * logistic.capacity)
         r_max = pop * (
@@ -552,8 +543,8 @@ def max_stable_dt(
         ) + float(params.b.sum())
         r_max = r_act + r_lin
     if r_max == 0.0:
-        return horizon
-    return safety / r_max
+        return math.inf
+    return _STABILITY_SAFETY / r_max
 
 
 @dataclass

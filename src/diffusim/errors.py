@@ -20,10 +20,3 @@ class NumericError(DiffusionError, ArithmeticError):
 class StepSizeError(NumericError):
     """Summed event probability exceeded 1; the time step is too large."""
 
-
-class ConvergenceError(NumericError):
-    """An iteration hit its cap; carries the last iterate for inspection."""
-
-    def __init__(self, message: str, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state

@@ -7,9 +7,11 @@ splits the Jacobian into new-activation terms F and transfer terms V:
     v       = diag(d_i + phi_i)
 
 The basic reproduction number is the spectral radius of k = f v^-1.
-Because f has rank one, the spectral radius also has the closed form
-sum_i alpha * eps_i * gamma_i * s*_i / (n_total * (d_i + phi_i)); both
-routes are kept and cross-checked in the tests.
+Because f has rank one, so does k, and its spectral radius is its trace
+sum_i alpha * eps_i * gamma_i * s*_i / (n_total * (d_i + phi_i))
+(van den Driessche & Watmough 2002, Math. Biosci. 180:29). Every route
+here takes r0 from that closed form; the tests check it against power
+iteration and dense eigenvalues.
 """
 
 from __future__ import annotations
@@ -18,12 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError, NumericError
 from .model import ModelParams, disease_free_equilibrium
 
 __all__ = [
     "NextGenDecomposition",
-    "spectral_radius",
     "build_decomposition",
     "r0_rank_one",
     "calibrate_alpha",
@@ -40,65 +41,45 @@ class NextGenDecomposition:
     r0: float
 
 
-def spectral_radius(k: np.ndarray, *, tol: float = 1e-12, max_iter: int = 10000) -> float:
-    """Largest eigenvalue modulus of an entrywise-nonnegative matrix.
-
-    Power iteration from the all-ones vector, so the result is
-    deterministic. Convergence is declared when successive Rayleigh
-    quotients agree to ``tol`` relative.
-
-    Raises:
-        DomainError: if k is not square, finite and entrywise nonnegative.
-        ConvergenceError: if the quotients have not settled after
-            ``max_iter`` iterations; the message carries the last two.
-    """
-    k = np.asarray(k, dtype=float)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {k.shape}")
-    if not np.all(np.isfinite(k)):
-        raise DomainError("matrix entries must be finite")
-    if np.any(k < 0):
-        raise DomainError("matrix entries must be nonnegative")
-    n = k.shape[0]
-    x = np.ones(n)
-    x /= np.linalg.norm(x)
-    lam = None
-    lam_prev = None
-    for _ in range(max_iter):
-        y = k @ x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            # a nonnegative matrix annihilating a nonnegative iterate of the
-            # all-ones vector is nilpotent, so the spectral radius is 0
-            return 0.0
-        x = y / norm
-        lam = float(x @ (k @ x))
-        if lam_prev is not None:
-            diff = abs(lam - lam_prev)
-            if diff <= tol * max(abs(lam), abs(lam_prev)) or diff == 0.0:
-                return lam
-        lam_prev = lam
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations; "
-        f"last Rayleigh quotients {lam_prev!r}, {lam!r}",
-        last_state=(lam_prev, lam),
-    )
+def _r0(params: ModelParams, s_star: np.ndarray) -> float:
+    """sum_i alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)), refused when not finite."""
+    # a non-finite r0 is refused below, without numpy's warnings first
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = params.alpha * params.eps * params.gamma * s_star / (params.n_total * (params.d + params.phi))
+        r0 = np.sum(terms)
+        if not np.isfinite(r0):
+            if not np.isfinite(terms).all():
+                i = int(np.argmin(np.isfinite(terms)))
+                raise NumericError(f"R0 term of group {i + 1} is not finite: "
+                                   f"alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)) = {terms[i]}")
+            i = int(np.argmin(np.isfinite(np.cumsum(terms))))
+            raise NumericError(f"R0 is not finite: the sum of the per-group terms overflows at group {i + 1}")
+    return float(r0)
 
 
 def build_decomposition(params: ModelParams) -> NextGenDecomposition:
-    """Evaluate f, v and k at the disease-free equilibrium and compute r0.
+    """Evaluate f, v and k at the disease-free equilibrium, and r0 as for r0_rank_one.
 
-    v is diagonal by construction and is inverted entrywise; r0 is the
-    spectral radius of k obtained by power iteration.
+    v is diagonal by construction and is inverted entrywise.
+
+    Raises:
+        NumericError: if r0, or an entry of f or k, is not finite; the
+            message names the group or the entry (i, j), counting from 1.
     """
     dfe = disease_free_equilibrium(params)
+    r0 = _r0(params, dfe.s_star)
     exit_rate = params.d + params.phi
-    # spectral_radius refuses an overflowing k, without numpy's warnings first
+    # alpha eps_i gamma_j first, as in r0's terms: eps_i s*_i alone can overflow
+    # where the entry does not
     with np.errstate(over="ignore", invalid="ignore"):
-        f = params.alpha * np.outer(params.eps * dfe.s_star, params.gamma) / params.n_total
+        f = np.outer(params.alpha * params.eps, params.gamma) * dfe.s_star[:, np.newaxis] / params.n_total
         k = f / exit_rate[np.newaxis, :]
-    v = np.diag(exit_rate)
-    return NextGenDecomposition(f=f, v=v, k=k, r0=spectral_radius(k))
+    for name, mat in (("f", f), ("k", k)):
+        if not np.isfinite(mat).all():
+            i, j = np.unravel_index(np.argmin(np.isfinite(mat)), mat.shape)
+            raise NumericError(f"next-generation matrix {name} is not finite at entry "
+                               f"({i + 1}, {j + 1}): {mat[i, j]}")
+    return NextGenDecomposition(f=f, v=np.diag(exit_rate), k=k, r0=r0)
 
 
 def r0_rank_one(params: ModelParams) -> float:
@@ -106,10 +87,12 @@ def r0_rank_one(params: ModelParams) -> float:
 
     Equals sum_i alpha * eps_i * gamma_i * s*_i / (n_total * (d_i + phi_i)),
     the trace of k, which for a rank-one k is its spectral radius.
+
+    Raises:
+        NumericError: if a per-group term or the sum is not finite; the
+            message names the first such group, counting from 1.
     """
-    dfe = disease_free_equilibrium(params)
-    exit_rate = params.d + params.phi
-    return float(np.sum(params.alpha * params.eps * params.gamma * dfe.s_star / (params.n_total * exit_rate)))
+    return _r0(params, disease_free_equilibrium(params).s_star)
 
 
 def calibrate_alpha(params: ModelParams, target_r0: float) -> float:
@@ -120,6 +103,7 @@ def calibrate_alpha(params: ModelParams, target_r0: float) -> float:
     Raises:
         DomainError: if target_r0 is not positive or r0 vanishes at
             alpha = 1 (no alpha can reach the target).
+        NumericError: if r0 at alpha = 1 is not finite, as in r0_rank_one.
     """
     target = float(target_r0)
     if not np.isfinite(target) or target <= 0:

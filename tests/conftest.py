@@ -6,9 +6,17 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import strategies as st
 
-from diffusim import FULL, PAPER_LITERAL, ContinuousState, DiscreteState, LogisticConfig, ModelParams
-from diffusim.errors import ConvergenceError, NumericError
+from diffusim import FULL, PAPER_LITERAL, ContinuousState, DiscreteState, LogisticConfig, ModelParams, max_stable_dt
+from diffusim.errors import DomainError, NumericError
 from diffusim.model import _check_seed_state, _kernel, _population_error, _tagged
+
+
+class ConvergenceError(NumericError):
+    """An oracle's iteration hit its cap; carries the last iterate for inspection."""
+
+    def __init__(self, message: str, last_state=None):
+        super().__init__(message)
+        self.last_state = last_state
 
 
 def two_group_params(alpha: float = 1.0) -> ModelParams:
@@ -64,6 +72,12 @@ def random_params(rng: np.random.Generator, m: int) -> ModelParams:
         eps=rng.uniform(0.1, 1.0, m),
         gamma=rng.uniform(0.1, 1.0, m),
     )
+
+
+def finite_stable_dt(params: ModelParams, n: float, logistic: LogisticConfig | None = None) -> float:
+    """``max_stable_dt``, with the unbounded step of an all-zero-rate chain read as 1.0."""
+    dt = max_stable_dt(params, n, logistic=logistic)
+    return 1.0 if dt == math.inf else dt
 
 
 @st.composite
@@ -141,6 +155,52 @@ def march_equilibrium(
         )
     y = np.array(y)
     return _tagged(y[:m], y[m : 2 * m], y[2 * m :], extinction_threshold)
+
+
+def spectral_radius(k: np.ndarray, *, tol: float = 1e-12, max_iter: int = 10000) -> float:
+    """Largest eigenvalue modulus of an entrywise-nonnegative matrix: the
+    oracle for the closed-form R0.
+
+    Power iteration from the all-ones vector, so the result is
+    deterministic. Convergence is declared when successive Rayleigh
+    quotients agree to ``tol`` relative.
+
+    Raises:
+        DomainError: if k is not square, finite and entrywise nonnegative.
+        ConvergenceError: if the quotients have not settled after
+            ``max_iter`` iterations; the message carries the last two.
+    """
+    k = np.asarray(k, dtype=float)
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {k.shape}")
+    if not np.all(np.isfinite(k)):
+        raise DomainError("matrix entries must be finite")
+    if np.any(k < 0):
+        raise DomainError("matrix entries must be nonnegative")
+    n = k.shape[0]
+    x = np.ones(n)
+    x /= np.linalg.norm(x)
+    lam = None
+    lam_prev = None
+    for _ in range(max_iter):
+        y = k @ x
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0:
+            # a nonnegative matrix annihilating a nonnegative iterate of the
+            # all-ones vector is nilpotent, so the spectral radius is 0
+            return 0.0
+        x = y / norm
+        lam = float(x @ (k @ x))
+        if lam_prev is not None:
+            diff = abs(lam - lam_prev)
+            if diff <= tol * max(abs(lam), abs(lam_prev)) or diff == 0.0:
+                return lam
+        lam_prev = lam
+    raise ConvergenceError(
+        f"power iteration did not converge in {max_iter} iterations; "
+        f"last Rayleigh quotients {lam_prev!r}, {lam!r}",
+        last_state=(lam_prev, lam),
+    )
 
 
 # The logistic law as ModelParams at a given population: the oracle for the

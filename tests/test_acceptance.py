@@ -6,7 +6,7 @@ the measured numbers so a failure is self-explanatory.
 """
 
 import numpy as np
-from conftest import random_params, single_group_params, two_group_params
+from conftest import random_params, single_group_params, spectral_radius, two_group_params
 
 from diffusim import (
     FULL,
@@ -27,7 +27,6 @@ from diffusim import (
     monte_carlo_mean,
     ode_rhs,
     r0_rank_one,
-    spectral_radius,
 )
 from diffusim.cli import main
 

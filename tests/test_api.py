@@ -6,7 +6,6 @@ import diffusim
 PUBLIC = [
     "ConfigError",
     "ContinuousState",
-    "ConvergenceError",
     "DiffusionError",
     "DiscreteState",
     "DomainError",
@@ -47,7 +46,6 @@ PUBLIC = [
     "r0_rank_one",
     "render_config",
     "simulate_replica",
-    "spectral_radius",
 ]
 
 

@@ -256,6 +256,26 @@ def test_an_underflowing_disease_free_point_prints_only_the_error_line(tmp_path)
                            "s* = inf, d* = inf\n")
 
 
+@pytest.mark.parametrize("cmd, edits, error", [
+    # table2 with b_1 = 1e306 and eps = gamma = (1e3, 1): calibrate used to print alpha = 0
+    (["calibrate", "--target-r0", "2"],
+     {"b = 0.01, 0.01": "b = 1e306, 0.01", "eps = 0.4, 0.6": "eps = 1e3, 1", "gamma = 0.4, 0.7": "gamma = 1e3, 1"},
+     "R0 term of group 1 is not finite: alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)) = inf"),
+    # table2 with alpha = 1e10 and b_1 = 1e305: r0 used to exit 2, naming no group
+    (["r0"], {"alpha = 1.0": "alpha = 1e10", "b = 0.01, 0.01": "b = 1e305, 0.01"},
+     "R0 term of group 1 is not finite: alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)) = inf"),
+], ids=["calibrate", "r0"])
+def test_an_overflowing_r0_exits_3_with_only_the_error_line(tmp_path, cmd, edits, error):
+    text = bundled_config()
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg = write_cfg(tmp_path, text)
+    src = str(Path(diffusim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "diffusim", cmd[0], "--config", cfg, *cmd[1:]],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {error}\n")
+
+
 # ----------------------------------------------------------- reproducibility
 
 

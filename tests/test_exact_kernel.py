@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse
-from conftest import single_group_params
+from conftest import finite_stable_dt, single_group_params
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,7 +114,7 @@ def exact_cases(draw):
     )
     # max_stable_dt bounds every channel at its worst at once, so some of
     # the larger steps still fit and some overload a state
-    dt = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0, 5.0])) * max_stable_dt(params, n, horizon=1.0)
+    dt = draw(st.sampled_from([0.1, 0.5, 1.0, 2.0, 5.0])) * finite_stable_dt(params, n)
     s0 = draw(st.integers(0, n))
     a0 = draw(st.integers(0, n - s0))
     init = DiscreteState(s=[s0], a=[a0], dd=[n - s0 - a0])

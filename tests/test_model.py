@@ -5,7 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import fast_params, march_equilibrium, random_params, single_group_params, two_group_params
+from conftest import (
+    ConvergenceError,
+    fast_params,
+    march_equilibrium,
+    random_params,
+    single_group_params,
+    two_group_params,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +23,7 @@ from diffusim import (
     endemic_equilibrium,
     ode_rhs,
 )
-from diffusim.errors import ConvergenceError, DomainError, NumericError
+from diffusim.errors import DomainError, NumericError
 from diffusim.model import _activation_ratio
 from diffusim.threshold import calibrate_alpha, r0_rank_one
 

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import chain_models, single_group_params, two_group_params
+from conftest import chain_models, finite_stable_dt, single_group_params, two_group_params
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,6 @@ from diffusim import (
     LogisticConfig,
     ModelParams,
     derive_replica_seed,
-    max_stable_dt,
     monte_carlo_mean,
     simulate_replica,
 )
@@ -191,7 +190,7 @@ def test_a_run_that_fits_the_array_draw_builds_no_generator(monkeypatch):
 def chain_cases(draw):
     params, mode, logistic, init = draw(chain_models())
     # up to 3x the conservative bound, so events are dense and some runs overload
-    dt = draw(st.floats(0.1, 3.0)) * max_stable_dt(params, max(init.total(), 1), horizon=1.0)
+    dt = draw(st.floats(0.1, 3.0)) * finite_stable_dt(params, max(init.total(), 1))
     n_epochs = draw(st.one_of(st.integers(0, 40), st.sampled_from([255, 256, 257, 600])))
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5))
     stride = draw(st.sampled_from([0, 1, 2, 3, 64]))

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import random_params, two_group_params
+from conftest import random_params, spectral_radius, two_group_params
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +14,6 @@ from diffusim import (
     calibrate_alpha,
     disease_free_equilibrium,
     r0_rank_one,
-    spectral_radius,
 )
 from diffusim.errors import DiffusionError, DomainError, NumericError
 
@@ -85,6 +84,7 @@ def test_closed_form_equals_power_iteration_equals_eig_oracle():
         via_eig = float(np.max(np.abs(np.linalg.eigvals(dec.k))))
         assert via_trace == pytest.approx(via_power, abs=1e-10)
         assert via_trace == pytest.approx(via_eig, abs=1e-10)
+        assert dec.r0 == via_trace
 
 
 def test_r0_monotone_in_alpha_and_each_gamma():
@@ -184,4 +184,37 @@ def test_an_overflowing_decomposition_is_refused_before_any_numpy_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DiffusionError, match="finite"):
+            build_decomposition(p)
+
+
+# "term": table2 with b_1 = 1e306 and eps = gamma = (1e3, 1), where calibrate_alpha
+# used to return alpha = 0; "sum": s*_i = b_i is each group's term, both finite
+OVERFLOWING_R0 = [
+    (ModelParams(m=2, n_total=100.0, alpha=1.0, b=[1e306, 0.01], d=0.01, rho=0.2, delta=0.03,
+                 phi=0.03, eps=[1e3, 1.0], gamma=[1e3, 1.0]),
+     r"^R0 term of group 1 is not finite: .* = inf$"),
+    (ModelParams(m=2, n_total=1.0, alpha=1.0, b=1e308, d=1.0, rho=0.0, delta=0.0, phi=0.0, eps=1.0, gamma=1.0),
+     r"^R0 is not finite: the sum of the per-group terms overflows at group 2$"),
+]
+
+
+@pytest.mark.parametrize("route", [r0_rank_one, build_decomposition, calibrate_alpha])
+@pytest.mark.parametrize("p, match", OVERFLOWING_R0, ids=["term", "sum"])
+def test_an_overflowing_r0_is_refused_naming_the_group(route, p, match):
+    args = (p, 2.0) if route is calibrate_alpha else (p,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=match):
+            route(*args)
+
+
+def test_an_overflowing_off_diagonal_entry_is_refused_while_r0_is_finite():
+    # k[0, 1] = eps_1 gamma_2 s*_1 / (n_total (d_2 + phi_2)) overflows, but
+    # R0 = eps_1 gamma_1 s*_1 / (n_total (d_1 + phi_1)) + ... does not
+    p = ModelParams(m=2, n_total=100.0, alpha=1.0, b=[1e305, 0.01], d=0.01, rho=0.2, delta=0.03,
+                    phi=0.03, eps=[1e3, 1.0], gamma=[1e-3, 1e3])
+    assert r0_rank_one(p) == pytest.approx(4.1667e305, rel=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^next-generation matrix f is not finite at entry \(1, 2\): inf$"):
             build_decomposition(p)
