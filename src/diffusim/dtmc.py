@@ -22,37 +22,38 @@ are folded into the deactivate/withdraw channels, both of which land in
 D. "full" carries births and deaths explicitly, so the population
 varies. The two modes generate identical chains when b = d = 0.
 
-Reproducibility contract:
+Reproducibility contract, version 2 (v1 drew one PCG64 uniform per epoch):
 
 * Events are enumerated in the canonical order activate(1..m),
   deactivate(1..m), return(1..m), withdraw(1..m), then in full mode
   death_s(1..m), death_a(1..m), death_d(1..m), birth(1..m), and finally
-  no_event. Each epoch consumes exactly one uniform double u from the
-  replica's generator and selects the event by cumulative probability in
-  that order: with q the running sums of the event probabilities, event
-  k fires iff q[k-1] <= u < q[k] (q[-1] read as 0 for the first event),
-  and no event fires iff u >= q[last]. This is
-  ``np.searchsorted(q, u, side="right")``, so an event of probability 0
-  never fires, not even for u = 0.
-* Replica r of an ensemble owns numpy's PCG64 seeded with
-  derive_replica_seed(seed, r): the SplitMix64 finalizer applied to
-  (seed + (r + 1) * 0x9E3779B97F4A7C15) mod 2^64. A batch's seeds and
-  PCG64 seeding words are computed in one array pass; each generator is
-  then the stream of ``PCG64(derive_replica_seed(seed, r))`` exactly. A
-  short run's uniforms are computed from the words by PCG64's closed-form
-  jump, with no generator, and are that same stream.
+  no_event. With q the running sums (``np.cumsum``) of the event
+  probabilities in that order, T = q[last] is the summed event
+  probability of an epoch.
+* Replica r of an ensemble has the seed derive_replica_seed(seed, r): the
+  SplitMix64 finalizer mix64 applied to (seed + (r + 1) * 0x9E3779B97F4A7C15)
+  mod 2^64. Its uniforms are the same hash over a counter,
+  u_k = (mix64(seed_r + k * 0x9E3779B97F4A7C15) >> 11) * 2^-53, k >= 1
+  (Steele, Lea & Flood 2014, OOPSLA).
+* Between events the state, and with it q, is constant, so the number of
+  epochs up to and including the next event is geometric with
+  parameter T. The replica's j-th event (from 0) reads the gap uniform
+  u = u_{2j+1} and the choice uniform v = u_{2j+2}. It fires
+  K = max(1, ceil(np.log1p(-u) / np.log1p(-T))) epochs after the previous
+  one, if that is within the horizon; T = 0 never fires and T = 1 fires
+  every epoch. It is event min(#(q <= v T), #(q < T)): event k iff
+  q[k-1] <= v T < q[k] (q[-1] read as 0), and the last event of positive
+  probability at the rounding edge v T == T. An event of probability 0
+  never fires. The gap uses numpy's ``log1p``, so the bits hold per numpy
+  build and CPU: ``math.log1p`` differs from it in the last bit on some
+  inputs.
 * Ensemble reductions are exact integer sums over fixed chunks of 256
   replicas, combined in index order. A single replica's trajectory is
   the same sum over a one-replica batch.
 
-Replicas are advanced by event-driven replay rather than epoch by epoch.
-Between events the state, and with it q, is constant, so the next event
-is at the first epoch j whose uniform satisfies u_j < q[last]. Replay
-scans each replica's block of pre-drawn uniforms for that epoch, applies
-the event selected by u_j, and resumes at j + 1. It consumes the same
-stream, one uniform per epoch, as a per-epoch stepper, and so yields the
-same chain bit for bit at a cost that grows with the events rather than
-the epochs.
+A batch advances from event to event, so its cost grows with the events
+rather than the epochs; each round computes the two uniforms of every
+running replica in one uint64 array pass.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError, NumericError, StepSizeError
 from .integrate import _multiple_of
@@ -98,9 +98,10 @@ _MASK64 = (1 << 64) - 1
 # ensembles are simulated in fixed chunks of this many replicas, reduced
 # in chunk order
 _CHUNK_REPLICAS = 256
-# uniforms drawn per replica at a time; draws in blocks concatenate to
-# the same stream, so the block size never changes the chain
-_REPLAY_BLOCK = 256
+# event j of a replica hashes seed + (2j + 1) gamma and seed + (2j + 2) gamma:
+# its key seed + 2j gamma plus these, after which the key moves on by _KEY_STEP
+_PAIR = np.array([_GOLDEN, (2 * _GOLDEN) & _MASK64], dtype=np.uint64)
+_KEY_STEP = np.uint64((2 * _GOLDEN) & _MASK64)
 
 
 def derive_replica_seed(seed: int, index: int) -> int:
@@ -121,9 +122,8 @@ def derive_replica_seed(seed: int, index: int) -> int:
     return z
 
 
-def _replica_seeds(seed: int, lo: int, hi: int) -> np.ndarray:
-    """``derive_replica_seed(seed, r)`` for r in [lo, hi), as uint64."""
-    z = np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(int(seed) & _MASK64)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer (that of :func:`derive_replica_seed`) on a uint64 array, in place."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -132,153 +132,9 @@ def _replica_seeds(seed: int, lo: int, hi: int) -> np.ndarray:
     return z
 
 
-# numpy's SeedSequence hash: pool size 4, 32-bit words
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
-    """Row i is ``np.random.SeedSequence(seeds[i]).generate_state(4, np.uint64)``.
-
-    The SeedSequence hash run on uint32 arrays, one replica per element.
-    A seed is its low and high 32-bit words; a seed below 2^32 is one
-    entropy word, and its missing second word hashes like a zero.
-    """
-    u32 = np.uint32
-    hash_const = _SS_INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ u32(hash_const)
-        hash_const = (hash_const * _SS_MULT_A) & 0xFFFFFFFF
-        value = value * u32(hash_const)
-        return value ^ (value >> u32(16))
-
-    zero = np.zeros(seeds.shape, dtype=u32)
-    entropy = [(seeds & np.uint64(0xFFFFFFFF)).astype(u32), (seeds >> np.uint64(32)).astype(u32), zero, zero]
-    pool = [hashmix(word) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = u32(_SS_MIX_L) * pool[dst] - u32(_SS_MIX_R) * hashmix(pool[src])
-                pool[dst] = mixed ^ (mixed >> u32(16))
-    state = np.empty(seeds.shape + (8,), dtype=u32)
-    hash_const = _SS_INIT_B
-    for k in range(8):
-        value = pool[k % 4] ^ u32(hash_const)
-        hash_const = (hash_const * _SS_MULT_B) & 0xFFFFFFFF
-        value = value * u32(hash_const)
-        state[..., k] = value ^ (value >> u32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _Words(ISeedSequence):
-    """Seeds a bit generator with precomputed words (see :func:`_pcg64_words`)."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        # PCG64 asks for exactly the four uint64 words the row holds
-        return self.words
-
-
-# numpy's PCG64: a 128-bit LCG, state -> state * _PCG_MULT + inc (mod 2^128)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _pcg64_jumps(k: int) -> np.ndarray:
-    """Jump constants of draws 0 .. k-1 from the seeding sum x = state + inc.
-
-    Seeding steps from 0 to inc, adds the state and steps again, and each
-    draw steps before its output, so draw j reads the state
-    A x + G inc (mod 2^128) with A = MULT^(j+2) and G = sum_{i < j+2} MULT^i.
-    Rows: the low 64 bits of A, their low and high 32-bit halves, the
-    high 64 bits of A, then the same four for G; one column per draw.
-    """
-    rows = []
-    a, g = _PCG_MULT, 1
-    for _ in range(k):
-        a, g = (a * _PCG_MULT) & _MASK128, (g * _PCG_MULT + 1) & _MASK128
-        a_lo, g_lo = a & _MASK64, g & _MASK64
-        rows.append([a_lo, a_lo & 0xFFFFFFFF, a_lo >> 32, a >> 64, g_lo, g_lo & 0xFFFFFFFF, g_lo >> 32, g >> 64])
-    return np.array(rows, dtype=np.uint64).T
-
-
-# a run of at most this many epochs draws its uniforms from the words in
-# one array pass instead of from a Generator per replica; per replica the
-# two cost the same between 56 and 64 draws (see CHANGES.md)
-_ARRAY_DRAW_EPOCHS = 56
-# draws computed per array pass; its scratch is three (draws, replicas)
-# uint64 arrays
-_ARRAY_DRAW_COLUMNS = 10
-_JUMPS = _pcg64_jumps(_ARRAY_DRAW_EPOCHS)[:, :, None]
-
-
-def _pcg64_uniforms(words: np.ndarray, k: int, out: np.ndarray) -> None:
-    """Write ``PCG64`` draws 0 .. k-1 of each row of ``words`` into ``out[:, :k]``.
-
-    Row i of ``out`` gets ``Generator(PCG64(_Words(words[i]))).random(k)``
-    bit for bit, from the closed-form jump of :func:`_pcg64_jumps`, with
-    no bit generator. As numpy's ``pcg_setseq_128_srandom_r`` seeds them,
-    the state is ``(word 0 << 64) | word 1`` and the increment
-    ``inc = (((word 2 << 64) | word 3) << 1) | 1``; draw j is the XSL-RR
-    output of ``A_j x + G_j inc`` (x = state + inc, all mod 2^128) as
-    ``(output >> 11) * 2^-53``. The 128-bit sums are built from uint64
-    limbs, the high halves of the limb products from 32-bit halves. Draws
-    are computed ``_ARRAY_DRAW_COLUMNS`` at a time, one row per draw, and
-    ``k`` is at most ``_ARRAY_DRAW_EPOCHS``.
-    """
-    u64 = np.uint64
-    one, low, half = u64(1), u64(0xFFFFFFFF), u64(32)
-    w0, w1, w2, w3 = words.T
-    inc_lo = (w3 << one) | one
-    inc_hi = (w2 << one) | (w3 >> u64(63))
-    x_lo = w1 + inc_lo
-    x_hi = w0 + inc_hi
-    x_hi += x_lo < w1
-    halves = ((x_lo & low, x_lo >> half), (inc_lo & low, inc_lo >> half))
-    hi_buf = np.empty((min(_ARRAY_DRAW_COLUMNS, k), words.shape[0]), dtype=np.uint64)
-    lo_buf = np.empty_like(hi_buf)
-    t_buf = np.empty_like(hi_buf)
-    for c in range(0, k, _ARRAY_DRAW_COLUMNS):
-        w = min(_ARRAY_DRAW_COLUMNS, k - c)
-        a_lo, a0, a1, a_hi, g_lo, g0, g1, g_hi = _JUMPS[:, c : c + w]
-        hi, lo, t = hi_buf[:w], lo_buf[:w], t_buf[:w]
-        # high 64 bits: the cross products ...
-        np.multiply(a_hi, x_lo, out=hi)
-        hi += np.multiply(a_lo, x_hi, out=t)
-        hi += np.multiply(g_hi, inc_lo, out=t)
-        hi += np.multiply(g_lo, inc_hi, out=t)
-        # ... plus the high halves of a_lo x_lo and g_lo inc_lo
-        for (m0, m1), (y0, y1) in zip(((a0, a1), (g0, g1)), halves):
-            np.multiply(m0, y0, out=t)
-            t >>= half
-            np.multiply(m1, y0, out=lo)
-            lo += t  # m1 y0 + (m0 y0 >> 32) < 2^64
-            hi += np.right_shift(lo, half, out=t)
-            lo &= low
-            lo += np.multiply(m0, y1, out=t)  # m0 y1 + a 32-bit value < 2^64
-            lo >>= half
-            hi += lo
-            hi += np.multiply(m1, y1, out=t)
-        # low 64 bits, and their carry into the high ones
-        np.multiply(a_lo, x_lo, out=lo)
-        lo += np.multiply(g_lo, inc_lo, out=t)
-        hi += lo < t
-        # XSL-RR: rotate hi ^ lo right by the top six bits of hi
-        lo ^= hi
-        hi >>= u64(58)
-        np.right_shift(lo, hi, out=t)
-        np.subtract(u64(64), hi, out=hi)
-        hi &= u64(63)
-        lo <<= hi
-        t |= lo
-        t >>= u64(11)
-        out[:, c : c + w] = t.T
-    out[:, :k] *= 2.0**-53
+def _replica_seeds(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``derive_replica_seed(seed, r)`` for r in [lo, hi), as uint64."""
+    return _mix64(np.arange(lo + 1, hi + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(int(seed) & _MASK64))
 
 
 class Event(NamedTuple):
@@ -469,10 +325,10 @@ class _Engine:
 
 
 def _select(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Event index per row of cumulative probabilities ``q`` for uniforms ``u``.
+    """Event index per row of cumulative probabilities ``q`` for points ``u``.
 
-    Row-wise ``np.searchsorted(q[r], u[r], side="right")``: event k fires
-    iff q[k-1] <= u < q[k], and the result is the no_event index
+    Row-wise ``np.searchsorted(q[r], u[r], side="right")``: event k is
+    selected iff q[k-1] <= u < q[k], and the result is the no_event index
     (``q.shape[1]``) iff u >= q[-1]. Rows of q are nondecreasing, so the
     search is the count of bounds at or below u.
     """
@@ -568,18 +424,14 @@ def _run_replicas(
     stride: int = 0,
     first_replica: int = 0,
 ) -> _RunOutput:
-    """Replay a batch of replicas event by event, one uniform per epoch.
+    """Advance a batch of replicas from event to event, two uniforms per event.
 
-    Each replica keeps an epoch pointer and a block of its own uniforms.
+    Each replica keeps an epoch pointer and the key of its next uniforms.
     A round fills the event probabilities of every running replica once,
-    finds in each block the first epoch at or after the pointer whose
-    uniform fires an event, applies that event and moves the pointer past
-    it. A replica whose block holds no further event moves to the block's
-    end and draws the next block. A run of at most ``_ARRAY_DRAW_EPOCHS``
-    epochs is one block, drawn for the whole batch by
-    :func:`_pcg64_uniforms`; longer runs draw from one Generator per
-    replica. Samples are recorded as per-sample differences and summed at
-    the end.
+    draws its gap and choice uniforms (see the module docstring), moves
+    the pointer to the epoch of its next event and applies that event. A
+    replica whose next event falls past ``n_epochs`` is finished. Samples
+    are recorded as per-sample differences and summed at the end.
 
     ``stride`` chooses the run. With ``stride > 0`` every replica runs all
     ``n_epochs`` and the state is sampled every ``stride`` epochs, as the
@@ -590,9 +442,9 @@ def _run_replicas(
     actives run out. Every run returns each replica's extinction epoch and
     its last simulated state.
 
-    ``seeds`` are the replicas' 64-bit seeds (a sequence or uint64 array);
-    replica i draws from ``PCG64(seeds[i])``. ``first_replica`` is the
-    ensemble index of ``seeds[0]``; errors name replicas by ensemble index.
+    ``seeds`` are the replicas' 64-bit seeds (a sequence or uint64 array).
+    ``first_replica`` is the ensemble index of ``seeds[0]``; errors name
+    replicas by ensemble index.
 
     Raises:
         StepSizeError: if a replica, before its last simulated epoch,
@@ -614,106 +466,80 @@ def _run_replicas(
         moments[0, 0] = state.sum(axis=0)
         moments[0, 1] = np.square(state).sum(axis=0)
 
-    # slot i runs replica rid[i]; its buffer row holds the uniforms of
-    # epochs base[i] .. base[i] + block - 1, padded with 2.0 (never fires)
-    # past n_epochs, and ptr[i] is the next epoch it simulates
+    # slot i runs replica rid[i]; ptr[i] epochs are simulated, and key[i] is
+    # seed + 2j gamma (mod 2^64) before its event j
     rid = np.arange(n_rep) if n_epochs > 0 else np.arange(0)
     if not stride:
         rid = rid[ext[rid] < 0]
     n = rid.size
-    block = min(_REPLAY_BLOCK, n_epochs)
-    buf = np.full((n, block), 2.0)
-    words = _pcg64_words(np.asarray(seeds, dtype=np.uint64)[rid])
-    gens: list[np.random.Generator | None] = [None] * n
-    if n_epochs <= _ARRAY_DRAW_EPOCHS:
-        _pcg64_uniforms(words, n_epochs, buf)
-    else:
-        for i in range(n):
-            g = np.random.Generator(np.random.PCG64(_Words(words[i])))
-            g.random(out=buf[i])
-            if block < n_epochs:
-                gens[i] = g
-    base = np.zeros(n, dtype=np.int64)
+    key = np.asarray(seeds, dtype=np.uint64)[rid]
     ptr = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
-    # row o marks the columns at or after offset o
-    at_or_after = np.arange(block)[None, :] >= np.arange(block + 1)[:, None]
     p = eng.make_buffers(n)
     q = np.empty_like(p)
-    hit = np.empty((n, block), dtype=bool)
-    ahead = np.empty_like(hit)
 
-    while n:
-        cur = state[rid]
-        eng.fill_probabilities(cur, p)
-        np.cumsum(p, axis=1, out=q)
-        total = q[:, -1]
-        over = active & (total > 1.0)
-        if over.any():
-            i = int(np.argmax(over))
-            raise StepSizeError(
-                f"summed event probability {total[i]:.6g} > 1 for replica "
-                f"{first_replica + int(rid[i])} at epoch {int(ptr[i])} "
-                f"(t = {int(ptr[i]) * dt:g}); decrease dt"
-            )
-        # first uniform at or after the pointer that fires an event
-        np.less(buf, np.where(active, total, -1.0)[:, None], out=hit)
-        np.take(at_or_after, ptr - base, axis=0, out=ahead)
-        hit &= ahead
-        first = hit.argmax(axis=1)
-        fires = hit[np.arange(n), first]
-        block_end = np.minimum(base + block, n_epochs)
-        ptr = np.where(fires, base + first + 1, block_end)
+    # log1p(-T) is -0.0 at T = 0 and -inf at T = 1; a finished slot's T may exceed 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while n:
+            eng.fill_probabilities(state[rid], p)
+            np.cumsum(p, axis=1, out=q)
+            total = q[:, -1]
+            over = active & (total > 1.0)
+            if over.any():
+                i = int(np.argmax(over))
+                raise StepSizeError(
+                    f"summed event probability {total[i]:.6g} > 1 for replica "
+                    f"{first_replica + int(rid[i])} at epoch {int(ptr[i])} "
+                    f"(t = {int(ptr[i]) * dt:g}); decrease dt"
+                )
+            u = _mix64(key[:, None] + _PAIR)
+            u >>= np.uint64(11)
+            u = u * 2.0**-53
+            # the epoch of the next event; inf or nan (T = 0) never fires
+            gap = np.ceil(np.log1p(-u[:, 0]) / np.log1p(-total))
+            nxt = ptr + np.maximum(gap, 1.0)
+            fires = active & (nxt <= n_epochs)
+            active = fires & (nxt < n_epochs)  # an event in the last epoch ends the run
+            ev = np.flatnonzero(fires)
+            if ev.size:
+                r = rid[ev]
+                ptr[ev] = nxt[ev]
+                key[ev] += _KEY_STEP
+                # x = v T, capped below T: q <= the float before T iff q < T, so
+                # x == T selects the last event of positive probability
+                t_ev = total[ev]
+                x = np.minimum(u[ev, 1] * t_ev, np.nextafter(t_ev, 0.0))
+                old = state[r]
+                d = eng.delta[_select(q[ev], x)]
+                new = old + d
+                state[r] = new
+                done = ptr[ev]  # epochs simulated once the event has happened
+                if stride:
+                    k = -(-done // stride)  # first sample that includes the event
+                    # an event adds d to its sample's sum and new^2 - old^2 = d (old + new)
+                    # to its sum of squares
+                    step = np.empty((ev.size, 2, 3 * m), dtype=np.int64)
+                    step[:, 0] = d
+                    np.add(old, new, out=step[:, 1])
+                    step[:, 1] *= d
+                    if n_epochs % stride:  # an event after the last sample is in none
+                        seen = k < n_samples
+                        k, step = k[seen], step[seen]
+                    np.add.at(moments, k, step)
+                    del step  # freed before the next round, so the peak stays per round
+                gone = (ext[r] < 0) & (new[:, m : 2 * m].sum(axis=1) == 0)
+                ext[r[gone]] = done[gone]
+                if not stride:
+                    active[ev[gone]] = False
 
-        ev = np.flatnonzero(fires)
-        if ev.size:
-            r = rid[ev]
-            old = state[r]
-            d = eng.delta[_select(q[ev], buf[ev, first[ev]])]
-            new = old + d
-            state[r] = new
-            done = ptr[ev]  # epochs simulated once the event has happened
-            if stride:
-                k = -(-done // stride)  # first sample that includes the event
-                # an event adds d to its sample's sum and new^2 - old^2 = d (old + new)
-                # to its sum of squares
-                step = np.empty((ev.size, 2, 3 * m), dtype=np.int64)
-                step[:, 0] = d
-                np.add(old, new, out=step[:, 1])
-                step[:, 1] *= d
-                if n_epochs % stride:  # an event after the last sample is in none
-                    seen = k < n_samples
-                    k, step = k[seen], step[seen]
-                np.add.at(moments, k, step)
-                del step  # freed before the next round, so the peak stays per round
-            gone = (ext[r] < 0) & (new[:, m : 2 * m].sum(axis=1) == 0)
-            ext[r[gone]] = done[gone]
-            if not stride:
-                active[ev[gone]] = False
-
-        spent = active & (ptr == block_end)
-        active[spent & (block_end == n_epochs)] = False
-        refill = np.flatnonzero(spent & active)
-        if refill.size:
-            base[refill] = block_end[refill]
-            widths = np.minimum(n_epochs - base[refill], block)
-            for i, width in zip(refill.tolist(), widths.tolist()):
-                gens[i].random(out=buf[i, :width])
-                if base[i] + width == n_epochs:
-                    gens[i] = None
-                    buf[i, width:] = 2.0
-
-        # drop finished slots once they make up half the batch
-        live = np.flatnonzero(active)
-        if live.size <= n // 2:
-            rid, buf, base, ptr = rid[live], buf[live], base[live], ptr[live]
-            gens = [gens[i] for i in live]
-            n = live.size
-            active = np.ones(n, dtype=bool)
-            p = eng.make_buffers(n)
-            q = np.empty_like(p)
-            hit = np.empty((n, block), dtype=bool)
-            ahead = np.empty_like(hit)
+            # drop finished slots once they make up half the batch
+            live = np.flatnonzero(active)
+            if live.size <= n // 2:
+                rid, key, ptr = rid[live], key[live], ptr[live]
+                n = live.size
+                active = np.ones(n, dtype=bool)
+                p = eng.make_buffers(n)
+                q = np.empty_like(p)
 
     if stride:
         np.cumsum(moments, axis=0, out=moments)
@@ -776,8 +602,8 @@ def simulate_replica(
 
     Records the state every ``sample_every`` time units (every epoch when
     None). The same inputs give the same trajectory on every run. The
-    seed, an integer in [0, 2^64), seeds numpy's PCG64 as given, so
-    replica r of an ensemble run with master seed s is reproduced by
+    seed, an integer in [0, 2^64), is the replica's own seed, so replica
+    r of an ensemble run with master seed s is reproduced by
     ``seed=derive_replica_seed(s, r)``.
     """
     seed = _check_seed(seed)
@@ -808,7 +634,7 @@ def monte_carlo_mean(
 ) -> TrajectoryTable:
     """Mean trajectory over independent replicas, with sample spread.
 
-    Replica r uses the generator seeded by derive_replica_seed(seed, r);
+    Replica r uses the stream of derive_replica_seed(seed, r);
     the result is identical to averaging ``simulate_replica`` over those
     seeds. Spread is the sample standard deviation (ddof 1; all zeros when
     n_replicas is 1).

@@ -399,7 +399,9 @@ def endemic_equilibrium(
             conserved group has phi_i (delta_i + rho_i) = 0, since its
             rest point at W = 0 is not unique. The message names the
             first such group, counting from 1.
-        NumericError: if the bracket sum_i gamma_i c_i or R0 overflows.
+        NumericError: if the bracket sum_i gamma_i c_i or R0 overflows,
+            or if the rest point is not finite; the latter names the first
+            such group, counting from 1.
     """
     if not 0.0 <= extinction_threshold < math.inf:
         raise DomainError(f"extinction_threshold must be nonnegative and finite, got {extinction_threshold!r}")
@@ -439,14 +441,21 @@ def endemic_equilibrium(
             else:
                 hi = w
     rho, delta, phi = params.rho, params.delta, params.phi
-    lam = params.alpha * params.eps * w / params.n_total
-    s = params.b * (d + delta) / (d * (lam * (d + delta + phi) / (d + phi) + d + delta + rho))
-    a = lam * s / (d + phi)
-    dd = (phi * a + rho * s) / (d + delta)
-    big_d = np.where(kept, phi * (delta + rho) + lam * (delta + phi), 1.0)
-    s = np.where(kept, totals * phi * delta / big_d, s)
-    a = np.where(kept, totals * lam * delta / big_d, a)
-    dd = np.where(kept, totals * (lam + rho) * phi / big_d, dd)
+    # a point that is not finite is refused below, without numpy's warnings first
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = params.alpha * params.eps * w / params.n_total
+        s = params.b * (d + delta) / (d * (lam * (d + delta + phi) / (d + phi) + d + delta + rho))
+        a = lam * s / (d + phi)
+        dd = (phi * a + rho * s) / (d + delta)
+        big_d = np.where(kept, phi * (delta + rho) + lam * (delta + phi), 1.0)
+        s = np.where(kept, totals * phi * delta / big_d, s)
+        a = np.where(kept, totals * lam * delta / big_d, a)
+        dd = np.where(kept, totals * (lam + rho) * phi / big_d, dd)
+    bad = np.flatnonzero(~(np.isfinite(s) & np.isfinite(a) & np.isfinite(dd)))
+    if bad.size:
+        i = bad[0]
+        raise NumericError(f"rest point of group {i + 1} is not finite: s = {s[i]}, a = {a[i]}, dd = {dd[i]} "
+                           f"(activation rate alpha eps_i W / n_total = {lam[i]})")
     return _tagged(s, a, dd, extinction_threshold)
 
 

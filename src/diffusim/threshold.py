@@ -103,7 +103,8 @@ def calibrate_alpha(params: ModelParams, target_r0: float) -> float:
     Raises:
         DomainError: if target_r0 is not positive or r0 vanishes at
             alpha = 1 (no alpha can reach the target).
-        NumericError: if r0 at alpha = 1 is not finite, as in r0_rank_one.
+        NumericError: if r0 at alpha = 1 is not finite, as in r0_rank_one,
+            or if alpha* overflows because r0 at alpha = 1 is that small.
     """
     target = float(target_r0)
     if not np.isfinite(target) or target <= 0:
@@ -111,4 +112,7 @@ def calibrate_alpha(params: ModelParams, target_r0: float) -> float:
     r0_unit = r0_rank_one(params.with_alpha(1.0))
     if r0_unit <= 0.0:
         raise DomainError("r0 at alpha=1 is zero; no alpha can reach the target")
-    return target / r0_unit
+    alpha = target / r0_unit
+    if not np.isfinite(alpha):
+        raise NumericError(f"alpha = target_r0 / r0(alpha=1) = {target!r} / {r0_unit!r} overflows")
+    return alpha

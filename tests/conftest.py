@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from diffusim import FULL, PAPER_LITERAL, ContinuousState, DiscreteState, LogisticConfig, ModelParams, max_stable_dt
+from diffusim.dtmc import _exact_kernel, _simplex_index
 from diffusim.errors import DomainError, NumericError
 from diffusim.model import _check_seed_state, _kernel, _population_error, _tagged
 
@@ -106,6 +107,28 @@ def chain_models(draw, modes=(PAPER_LITERAL, FULL)):
         logistic = LogisticConfig(enabled=True, growth_rate=draw(st.floats(0.0, 0.5)),
                                   capacity=draw(st.floats(2.0, 40.0)))
     return params, mode, logistic, DiscreteState(s=s, a=a, dd=dd)
+
+
+def exact_extinction_cdf(params: ModelParams, init: DiscreteState, dt: float, n_steps: int) -> np.ndarray:
+    """P(T <= k) for k = 0 .. n_steps, T the first epoch with no actives: the
+    oracle for the first passages of the m = 1 paper_literal chain.
+
+    Steps the one-epoch kernel of ``_exact_kernel`` with ``np.bincount``,
+    as ``exact_propagation`` does. Every activation carries the factor
+    gamma a, so the states with a = 0 are absorbing and P(T <= k) is the
+    mass on them after k steps.
+    """
+    n = init.total()
+    states, row, col, val = _exact_kernel(params, n, dt)
+    p = np.zeros(states.shape[0])
+    p[_simplex_index(n, int(init.s[0]), int(init.a[0]))] = 1.0
+    extinct = states[:, 1] == 0
+    cdf = np.empty(n_steps + 1)
+    for step in range(n_steps + 1):
+        if step > 0:
+            p = np.bincount(row, weights=val * p[col], minlength=p.size)
+        cdf[step] = p[extinct].sum()
+    return cdf
 
 
 def march_equilibrium(

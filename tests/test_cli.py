@@ -276,6 +276,19 @@ def test_an_overflowing_r0_exits_3_with_only_the_error_line(tmp_path, cmd, edits
     assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"error: {error}\n")
 
 
+def test_an_overflowing_calibrated_alpha_exits_3_naming_the_overflow(tmp_path):
+    # table2 with eps = 1e-300 and gamma = 1e-10: it used to exit 2 from
+    # ModelParams.with_alpha, with "alpha must be nonnegative and finite, got inf"
+    text = bundled_config().replace("eps = 0.4, 0.6", "eps = 1e-300, 1e-300")
+    cfg = write_cfg(tmp_path, text.replace("gamma = 0.4, 0.7", "gamma = 1e-10, 1e-10"))
+    src = str(Path(diffusim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "diffusim", "calibrate", "--config", cfg, "--target-r0", "2"],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: alpha = target_r0 / r0(alpha=1) = 2.0 / ")
+    assert proc.stderr.endswith(" overflows\n")
+
+
 # ----------------------------------------------------------- reproducibility
 
 

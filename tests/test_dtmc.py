@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import chain_models, finite_stable_dt, single_group_params, two_group_params
+from conftest import chain_models, exact_extinction_cdf, finite_stable_dt, single_group_params, two_group_params
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -390,6 +390,23 @@ def test_pure_death_extinction_matches_the_analytic_mean():
     assert summary.n_censored == 0
     se = summary.spread / math.sqrt(n)
     assert abs(summary.mean - analytic) < 3.0 * se
+
+
+def test_first_passage_epochs_follow_the_exact_extinction_law():
+    # m = 1 without demography, so a = 0 is absorbing and the exact law
+    # gives P(T <= k) at every epoch; the bound, 1.95 / sqrt(n), is the
+    # one-sample KS critical value at the 0.1% level, fixed before the run
+    p = ModelParams(m=1, n_total=20.0, alpha=1.0, b=0.0, d=0.0, rho=0.2,
+                    delta=0.3, phi=0.5, eps=1.0, gamma=1.0)
+    init = DiscreteState(s=np.array([10]), a=np.array([5]), dd=np.array([5]))
+    dt, n_epochs, n = 0.05, 2000, 5000
+    exact = exact_extinction_cdf(p, init, dt, n_epochs)
+    summary = extinction_time_stochastic(p, init, dt, n_epochs * dt, PAPER_LITERAL,
+                                         n_replicas=n, seed=7)
+    epochs = np.rint(summary.times[np.isfinite(summary.times)] / dt).astype(np.int64)
+    empirical = np.cumsum(np.bincount(epochs, minlength=n_epochs + 1)) / n
+    ks = float(np.abs(empirical - exact).max())
+    assert ks < 1.95 / math.sqrt(n), ks
 
 
 def test_fully_censored_ensemble_reports_none():

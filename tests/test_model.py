@@ -614,7 +614,13 @@ def _seeded(a0):
     (lambda: endemic_equilibrium(_one_group(gamma=10.0), _seeded(1e308)), "bracket .* is not finite"),
     (lambda: endemic_equilibrium(_one_group(alpha=1000.0, delta=0.5), _seeded(1e308)), "R0 = inf is not finite"),
     (lambda: disease_free_equilibrium(_one_group(b=1.0, d=5e-324)), "group 1 is not finite"),
-], ids=["bracket", "conserved_bracket", "threshold_ratio", "disease_free_point"])
+    # R0 and the bracket are finite, but alpha eps W / n_total overflows at the
+    # root: this used to return (0, nan, nan) tagged disease_free
+    (lambda: endemic_equilibrium(_one_group(n_total=1e45, b=1.0, d=1e-178, delta=0.4, phi=1.0,
+                                            eps=1e63, gamma=1e83),
+                                 ContinuousState(t=0.0, s=[1.0], a=[1.0], dd=[0.0])),
+     r"^rest point of group 1 is not finite: s = 0\.0, a = nan, dd = nan"),
+], ids=["bracket", "conserved_bracket", "threshold_ratio", "disease_free_point", "rest_point"])
 def test_refused_points_raise_before_any_numpy_warning(call, match):
     # the inputs of the overflow tests above, with every warning an error
     with warnings.catch_warnings():

@@ -1,11 +1,14 @@
-"""Batch seeding of replica generators against numpy's own seeding.
+"""Batch seeding of replicas, and contract v1's stream against numpy's own.
 
 ``_replica_seeds`` must give ``derive_replica_seed`` for every replica,
-``_pcg64_words`` must give ``SeedSequence(s).generate_state(4, np.uint64)``
-for every seed, and a generator built from those words must draw the
-stream of ``PCG64(s)``, as must the array draw ``_pcg64_uniforms`` from
-the words alone. Ensembles seeded this way must equal their replicas run
-one at a time through ``simulate_replica``.
+and ensembles seeded this way must equal their replicas run one at a
+time through ``simulate_replica``.
+
+The per-epoch stepper of contract v1 draws its uniforms from the test
+module ``pcg64`` as v1's driver did: ``pcg64_words`` must give
+``SeedSequence(s).generate_state(4, np.uint64)`` for every seed, and a
+generator built from those words must draw the stream of ``PCG64(s)``,
+as must the array draw ``pcg64_uniforms`` from the words alone.
 """
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from conftest import single_group_params, two_group_params
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pcg64 import ARRAY_DRAW_COLUMNS, ARRAY_DRAW_EPOCHS, Words, pcg64_uniforms, pcg64_words
 
 from diffusim import (
     FULL,
@@ -23,14 +27,7 @@ from diffusim import (
     monte_carlo_mean,
     simulate_replica,
 )
-from diffusim.dtmc import (
-    _ARRAY_DRAW_COLUMNS,
-    _ARRAY_DRAW_EPOCHS,
-    _pcg64_uniforms,
-    _pcg64_words,
-    _replica_seeds,
-    _Words,
-)
+from diffusim.dtmc import _replica_seeds
 from diffusim.errors import DomainError
 
 EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1]
@@ -45,7 +42,7 @@ def small_init():
 
 
 def test_words_match_seed_sequence_at_the_edges():
-    words = _pcg64_words(np.array(EDGE_SEEDS, dtype=np.uint64))
+    words = pcg64_words(np.array(EDGE_SEEDS, dtype=np.uint64))
     assert words.dtype == np.uint64
     np.testing.assert_array_equal(words, np.stack([numpy_words(s) for s in EDGE_SEEDS]))
 
@@ -53,47 +50,47 @@ def test_words_match_seed_sequence_at_the_edges():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_words_match_seed_sequence(seed):
-    np.testing.assert_array_equal(_pcg64_words(np.array([seed], dtype=np.uint64))[0], numpy_words(seed))
+    np.testing.assert_array_equal(pcg64_words(np.array([seed], dtype=np.uint64))[0], numpy_words(seed))
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, derive_replica_seed(42, 0)])
 def test_generator_from_words_draws_the_pcg64_stream(seed):
-    words = _pcg64_words(np.array([seed], dtype=np.uint64))[0]
-    gen = np.random.Generator(np.random.PCG64(_Words(words)))
-    # drawn in replay's 256-uniform blocks, across three refills
+    words = pcg64_words(np.array([seed], dtype=np.uint64))[0]
+    gen = np.random.Generator(np.random.PCG64(Words(words)))
+    # drawn in v1's 256-uniform blocks, across three refills
     got = np.concatenate([gen.random(256) for _ in range(4)])[:1000]
     np.testing.assert_array_equal(got, np.random.Generator(np.random.PCG64(seed)).random(1000))
 
 
 # k = 1, each side of every column-group edge, and the block bound
-DRAW_LENGTHS = sorted({1, _ARRAY_DRAW_EPOCHS} | {
-    k for edge in range(_ARRAY_DRAW_COLUMNS, _ARRAY_DRAW_EPOCHS + 1, _ARRAY_DRAW_COLUMNS)
-    for k in (edge, edge + 1) if k <= _ARRAY_DRAW_EPOCHS
+DRAW_LENGTHS = sorted({1, ARRAY_DRAW_EPOCHS} | {
+    k for edge in range(ARRAY_DRAW_COLUMNS, ARRAY_DRAW_EPOCHS + 1, ARRAY_DRAW_COLUMNS)
+    for k in (edge, edge + 1) if k <= ARRAY_DRAW_EPOCHS
 })
 
 
 def array_draws(words, k):
     out = np.full((len(words), k), 2.0)
-    _pcg64_uniforms(np.asarray(words, dtype=np.uint64), k, out)
+    pcg64_uniforms(np.asarray(words, dtype=np.uint64), k, out)
     return out
 
 
 def generator_draws(words, k):
-    return np.stack([np.random.Generator(np.random.PCG64(_Words(np.asarray(w, dtype=np.uint64)))).random(k)
+    return np.stack([np.random.Generator(np.random.PCG64(Words(np.asarray(w, dtype=np.uint64)))).random(k)
                      for w in words])
 
 
 @pytest.mark.parametrize("k", DRAW_LENGTHS)
 def test_array_draw_is_the_pcg64_stream_at_the_edge_seeds(k):
-    got = array_draws(_pcg64_words(np.array(EDGE_SEEDS, dtype=np.uint64)), k)
+    got = array_draws(pcg64_words(np.array(EDGE_SEEDS, dtype=np.uint64)), k)
     want = np.stack([np.random.Generator(np.random.PCG64(s)).random(k) for s in EDGE_SEEDS])
     assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(1, _ARRAY_DRAW_EPOCHS))
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(1, ARRAY_DRAW_EPOCHS))
 def test_array_draw_is_the_pcg64_stream(seed, k):
-    got = array_draws(_pcg64_words(np.array([seed], dtype=np.uint64)), k)
+    got = array_draws(pcg64_words(np.array([seed], dtype=np.uint64)), k)
     assert got.tobytes() == np.random.Generator(np.random.PCG64(seed)).random(k).tobytes()
 
 
@@ -108,16 +105,16 @@ HAND_WORDS = [
 ]
 
 
-@pytest.mark.parametrize("k", [1, _ARRAY_DRAW_COLUMNS + 1, _ARRAY_DRAW_EPOCHS])
+@pytest.mark.parametrize("k", [1, ARRAY_DRAW_COLUMNS + 1, ARRAY_DRAW_EPOCHS])
 def test_array_draw_carries_and_wraps_like_pcg64(k):
     got = array_draws(HAND_WORDS, k)
     assert got.tobytes() == generator_draws(HAND_WORDS, k).tobytes()
 
 
 def test_array_draw_writes_only_the_first_k_columns():
-    words = _pcg64_words(_replica_seeds(3, 0, 5))
+    words = pcg64_words(_replica_seeds(3, 0, 5))
     out = np.full((5, 12), 2.0)
-    _pcg64_uniforms(words, 7, out)
+    pcg64_uniforms(words, 7, out)
     assert out[:, :7].tobytes() == generator_draws(words, 7).tobytes()
     assert (out[:, 7:] == 2.0).all()
 

@@ -208,6 +208,19 @@ def test_an_overflowing_r0_is_refused_naming_the_group(route, p, match):
             route(*args)
 
 
+def test_an_overflowing_alpha_is_refused_naming_the_overflow():
+    # table2 with eps = 1e-300 and gamma = 1e-10: R0 at alpha = 1 is about
+    # 8e-310, finite and positive, so 2 / R0 overflows; it used to return inf
+    base = two_group_params()
+    p = ModelParams(m=2, n_total=base.n_total, alpha=1.0, b=base.b, d=base.d, rho=base.rho,
+                    delta=base.delta, phi=base.phi, eps=[1e-300, 1e-300], gamma=[1e-10, 1e-10])
+    assert 0.0 < r0_rank_one(p) < 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^alpha = target_r0 / r0\(alpha=1\) = 2\.0 / .* overflows$"):
+            calibrate_alpha(p, 2.0)
+
+
 def test_an_overflowing_off_diagonal_entry_is_refused_while_r0_is_finite():
     # k[0, 1] = eps_1 gamma_2 s*_1 / (n_total (d_2 + phi_2)) overflows, but
     # R0 = eps_1 gamma_1 s*_1 / (n_total (d_1 + phi_1)) + ... does not
