@@ -52,8 +52,12 @@ Reproducibility contract, version 2 (v1 drew one PCG64 uniform per epoch):
   the same sum over a one-replica batch.
 
 A batch advances from event to event, so its cost grows with the events
-rather than the epochs; each round computes the two uniforms of every
-running replica in one uint64 array pass.
+rather than the epochs. It is held in column layout, one row per
+compartment or event and one column per replica, so each array operation
+of a round, the two uniforms included, is one pass over the replicas. The
+activation scale gamma . a is the left-to-right sum of the products
+a_i gamma_i, in ufuncs rather than BLAS, so a replica's probabilities, and
+with them its path, have the same bits alone and in a batch of any width.
 """
 
 from __future__ import annotations
@@ -99,9 +103,12 @@ _MASK64 = (1 << 64) - 1
 # in chunk order
 _CHUNK_REPLICAS = 256
 # event j of a replica hashes seed + (2j + 1) gamma and seed + (2j + 2) gamma:
-# its key seed + 2j gamma plus these, after which the key moves on by _KEY_STEP
-_PAIR = np.array([_GOLDEN, (2 * _GOLDEN) & _MASK64], dtype=np.uint64)
+# its key seed + 2j gamma plus this column, after which the key moves on by _KEY_STEP
+_PAIR = np.array([[_GOLDEN], [(2 * _GOLDEN) & _MASK64]], dtype=np.uint64)
 _KEY_STEP = np.uint64((2 * _GOLDEN) & _MASK64)
+_MIX_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+_MIX_MULS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_U53_SHIFT = np.uint64(11)
 
 
 def derive_replica_seed(seed: int, index: int) -> int:
@@ -124,11 +131,11 @@ def derive_replica_seed(seed: int, index: int) -> int:
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64's finalizer (that of :func:`derive_replica_seed`) on a uint64 array, in place."""
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= z >> _MIX_SHIFTS[0]
+    z *= _MIX_MULS[0]
+    z ^= z >> _MIX_SHIFTS[1]
+    z *= _MIX_MULS[1]
+    z ^= z >> _MIX_SHIFTS[2]
     return z
 
 
@@ -234,16 +241,16 @@ _EVENT_DELTAS = {
 
 
 def _delta_tables(m: int, mode: str) -> np.ndarray:
-    """Per-event increments to the flat (s, a, dd) state, one row per event."""
+    """Per-event increments to the (s, a, dd) rows of a state, one column per event."""
     events = canonical_events(m, mode)
-    delta = np.zeros((len(events), 3, m), dtype=np.int64)
-    for row, ev in enumerate(events[:-1]):
-        delta[row, :, ev.group - 1] = _EVENT_DELTAS[ev.kind]
-    return delta.reshape(len(events), 3 * m)
+    delta = np.zeros((3, m, len(events)), dtype=np.int64)
+    for col, ev in enumerate(events[:-1]):
+        delta[:, ev.group - 1, col] = _EVENT_DELTAS[ev.kind]
+    return delta.reshape(3 * m, len(events))
 
 
 class _Engine:
-    """Per-event probability tables for a batch of replicas."""
+    """Per-event probability tables for a batch of replicas, one column per replica."""
 
     def __init__(self, params: ModelParams, mode: str, dt: float, logistic: LogisticConfig | None):
         _check_mode(mode)
@@ -254,7 +261,6 @@ class _Engine:
             logistic = None
         if logistic is not None and mode == PAPER_LITERAL:
             raise DomainError("logistic coupling needs full mode; paper_literal holds N constant")
-        self.params = params
         self.mode = mode
         self.dt = dt
         self.logistic = logistic
@@ -262,77 +268,70 @@ class _Engine:
         self.m = m
         self.n_events = 8 * m if mode == FULL else 4 * m
         self.delta = _delta_tables(m, mode)
-        self.gamma = params.gamma
+        self.gamma = params.gamma[:, None]
         # activation: prob = alpha*eps_i*(gamma . a)/den * s_i * dt, with
         # den = n_total (constant modes) or the replica population (logistic)
-        self.act_num = params.alpha * dt * params.eps
+        self.act_num = (params.alpha * dt * params.eps)[:, None]
         self.act_const = self.act_num / params.n_total
-        if mode == PAPER_LITERAL:
-            c_deact = (params.phi + params.d) * dt
-            self.c_withd = (params.d + params.rho) * dt
-        else:
-            c_deact = params.phi * dt
-            self.c_withd = params.rho * dt
-        # deactivate and return columns line up with the (a, dd) half of the
-        # flat state, the death columns with all of it, so each is one multiply
-        self.c_mid = np.concatenate([c_deact, params.delta * dt])
-        self.c_death3 = np.concatenate([params.d, params.d, params.d]) * dt
+        folded = params.d if mode == PAPER_LITERAL else 0.0  # paper_literal's deaths land in D
+        self.c_withd = ((params.rho + folded) * dt)[:, None]
+        # deactivate and return rows line up with the (a, dd) rows of the
+        # state, the death rows with all of them, so each is one multiply
+        self.c_mid = np.concatenate([(params.phi + folded) * dt, params.delta * dt])[:, None]
+        self.c_death3 = (np.concatenate([params.d, params.d, params.d]) * dt)[:, None]
         self.c_birth = params.b * dt
 
     def make_buffers(self, r: int) -> np.ndarray:
-        """Probability buffer for an r-replica batch.
+        """Probability buffer, one row per event, for an r-replica batch.
 
-        Constant columns (births outside the logistic coupling) are filled
+        Constant rows (births outside the logistic coupling) are filled
         here once; fill_probabilities never touches them.
         """
-        p = np.zeros((r, self.n_events))
+        p = np.zeros((self.n_events, r))
         if self.mode == FULL and self.logistic is None:
-            p[:, 7 * self.m :] = self.c_birth
+            p[7 * self.m :] = self.c_birth[:, None]
         return p
 
     def fill_probabilities(self, state: np.ndarray, p: np.ndarray) -> None:
-        """Write the event probabilities of the flat (s, a, dd) rows ``state`` into ``p``.
+        """Write the event probabilities of the (3m, replicas) ``state`` into ``p``.
 
         ``p`` must come from :meth:`make_buffers` for the same batch size.
-        Activation is ``coef * s_i * scale`` with ``scale = gamma . a``,
-        divided by the replica's population under the logistic coupling,
-        which also sets the death and birth columns from that population.
+        Activation is ``coef * s_i * scale``; ``scale = gamma . a`` is
+        summed left to right, divided by the replica's population under the
+        logistic coupling, which also sets the death and birth rows from it.
         """
         m = self.m
-        s = state[:, :m]
-        scale = state[:, m : 2 * m] @ self.gamma
+        s = state[:m]
+        scale = np.add.accumulate(state[m : 2 * m] * self.gamma, axis=0)[-1]
         if self.logistic is None:
             coef, death = self.act_const, self.c_death3
         else:
             lg = self.logistic
-            total = state.sum(axis=1).astype(float)
+            total = state.sum(axis=0).astype(float)
             scale /= np.where(total > 0, total, 1.0)  # rates all vanish at N = 0
             coef = self.act_num
-            death = ((lg.growth_rate * self.dt / lg.capacity) * total)[:, None]
-            p[:, 7 * m :] = ((lg.growth_rate * self.dt / m) * total)[:, None]
-        np.multiply(s, coef, out=p[:, :m])
-        p[:, :m] *= scale[:, None]
-        np.multiply(state[:, m:], self.c_mid, out=p[:, m : 3 * m])
-        np.multiply(s, self.c_withd, out=p[:, 3 * m : 4 * m])
+            death = (lg.growth_rate * self.dt / lg.capacity) * total
+            p[7 * m :] = (lg.growth_rate * self.dt / m) * total
+        np.multiply(s, coef, out=p[:m])
+        p[:m] *= scale
+        np.multiply(state[m:], self.c_mid, out=p[m : 3 * m])
+        np.multiply(s, self.c_withd, out=p[3 * m : 4 * m])
         if self.mode == FULL:
-            np.multiply(state, death, out=p[:, 4 * m : 7 * m])
+            np.multiply(state, death, out=p[4 * m : 7 * m])
 
     def probabilities(self, state: np.ndarray) -> np.ndarray:
-        """Event probability stack of the flat (s, a, dd) rows, shape (replicas, n_events)."""
+        """The transpose of :meth:`fill_probabilities` for the flat (s, a, dd) rows ``state``."""
         p = self.make_buffers(state.shape[0])
-        self.fill_probabilities(state, p)
-        return p
+        self.fill_probabilities(state.T, p)
+        return p.T
 
 
-def _select(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Event index per row of cumulative probabilities ``q`` for points ``u``.
+def _select(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per column r of running sums ``q``, ``np.searchsorted(q[:, r], x[r], side="right")``.
 
-    Row-wise ``np.searchsorted(q[r], u[r], side="right")``: event k is
-    selected iff q[k-1] <= u < q[k], and the result is the no_event index
-    (``q.shape[1]``) iff u >= q[-1]. Rows of q are nondecreasing, so the
-    search is the count of bounds at or below u.
+    Event k iff q[k-1] <= x < q[k]; no_event (``q.shape[0]``) iff x >= q[-1].
     """
-    return np.count_nonzero(q <= u[:, None], axis=1)
+    return np.add.reduce(q <= x, axis=0)
 
 
 def event_probabilities(params: ModelParams, state: DiscreteState, dt: float, mode: str) -> TransitionTable:
@@ -426,12 +425,14 @@ def _run_replicas(
 ) -> _RunOutput:
     """Advance a batch of replicas from event to event, two uniforms per event.
 
-    Each replica keeps an epoch pointer and the key of its next uniforms.
-    A round fills the event probabilities of every running replica once,
-    draws its gap and choice uniforms (see the module docstring), moves
-    the pointer to the epoch of its next event and applies that event. A
-    replica whose next event falls past ``n_epochs`` is finished. Samples
-    are recorded as per-sample differences and summed at the end.
+    Each replica runs in a slot, a column of every array of the round, with
+    an epoch pointer and the key of its next uniforms. A round fills the
+    event probabilities of every slot, draws its gap and choice uniforms
+    (see the module docstring), moves the pointer to the epoch of the next
+    event and applies it; a slot that does not fire applies the zero
+    no_event column. A replica whose next event falls past ``n_epochs`` is
+    finished; its slot is written back once half the slots are finished.
+    Samples are recorded as per-sample differences and summed at the end.
 
     ``stride`` chooses the run. With ``stride > 0`` every replica runs all
     ``n_epochs`` and the state is sampled every ``stride`` epochs, as the
@@ -453,97 +454,87 @@ def _run_replicas(
     eng = _Engine(params, mode, dt, logistic)
     m = params.m
     n_rep = len(seeds)
-    state = np.empty((n_rep, 3 * m), dtype=np.int64)
-    state[:, :m] = init.s
-    state[:, m : 2 * m] = init.a
-    state[:, 2 * m :] = init.dd
-    ext = np.where(state[:, m : 2 * m].sum(axis=1) == 0, 0, -1)
-
-    out = _RunOutput(ext_epoch=ext, final=state)
+    start = np.concatenate([init.s, init.a, init.dd])
+    extinct0 = init.a.sum() == 0
+    out = _RunOutput(ext_epoch=np.full(n_rep, 0 if extinct0 else -1), final=np.tile(start, (n_rep, 1)))
     n_samples = (n_epochs // stride + 1) if stride else 0
     if stride:
-        moments = np.zeros((n_samples, 2, 3 * m), dtype=np.int64)
-        moments[0, 0] = state.sum(axis=0)
-        moments[0, 1] = np.square(state).sum(axis=0)
+        # sample n_samples takes the events after the last sample
+        moments = np.zeros((n_samples + 1, 2, 3 * m), dtype=np.int64)
+        moments[0] = n_rep * np.stack([start, np.square(start)])
+        flat = moments.reshape(-1)
+        rows = np.arange(6 * m)[:, None]
 
-    # slot i runs replica rid[i]; ptr[i] epochs are simulated, and key[i] is
-    # seed + 2j gamma (mod 2^64) before its event j
-    rid = np.arange(n_rep) if n_epochs > 0 else np.arange(0)
-    if not stride:
-        rid = rid[ext[rid] < 0]
-    n = rid.size
-    key = np.asarray(seeds, dtype=np.uint64)[rid]
+    # slot i runs replica rid[i] from state[:, i]; ptr[i] epochs are
+    # simulated, key[i] is seed + 2j gamma (mod 2^64) before its event j, and
+    # ext[i] is the extinction epoch, n_epochs + 1 until the actives run out
+    n = n_rep if n_epochs > 0 and (stride or not extinct0) else 0
+    rid = np.arange(n)
+    state = np.repeat(start[:, None], n, axis=1)
+    key = np.array(seeds[:n], dtype=np.uint64)
     ptr = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    p = eng.make_buffers(n)
-    q = np.empty_like(p)
+    ext = np.full(n, 0 if extinct0 else n_epochs + 1)
 
     # log1p(-T) is -0.0 at T = 0 and -inf at T = 1; a finished slot's T may exceed 1
     with np.errstate(divide="ignore", invalid="ignore"):
         while n:
-            eng.fill_probabilities(state[rid], p)
-            np.cumsum(p, axis=1, out=q)
-            total = q[:, -1]
-            over = active & (total > 1.0)
-            if over.any():
-                i = int(np.argmax(over))
-                raise StepSizeError(
-                    f"summed event probability {total[i]:.6g} > 1 for replica "
-                    f"{first_replica + int(rid[i])} at epoch {int(ptr[i])} "
-                    f"(t = {int(ptr[i]) * dt:g}); decrease dt"
-                )
-            u = _mix64(key[:, None] + _PAIR)
-            u >>= np.uint64(11)
-            u = u * 2.0**-53
-            # the epoch of the next event; inf or nan (T = 0) never fires
-            gap = np.ceil(np.log1p(-u[:, 0]) / np.log1p(-total))
-            nxt = ptr + np.maximum(gap, 1.0)
-            fires = active & (nxt <= n_epochs)
-            active = fires & (nxt < n_epochs)  # an event in the last epoch ends the run
-            ev = np.flatnonzero(fires)
-            if ev.size:
-                r = rid[ev]
-                ptr[ev] = nxt[ev]
-                key[ev] += _KEY_STEP
-                # x = v T, capped below T: q <= the float before T iff q < T, so
-                # x == T selects the last event of positive probability
-                t_ev = total[ev]
-                x = np.minimum(u[ev, 1] * t_ev, np.nextafter(t_ev, 0.0))
-                old = state[r]
-                d = eng.delta[_select(q[ev], x)]
-                new = old + d
-                state[r] = new
-                done = ptr[ev]  # epochs simulated once the event has happened
+            active = np.ones(n, dtype=bool)
+            p, q, step = eng.make_buffers(n), np.empty((eng.n_events, n)), np.empty((2, 3 * m, n), dtype=np.int64)
+            while np.count_nonzero(active) > n // 2:
+                eng.fill_probabilities(state, p)
+                np.add.accumulate(p, axis=0, out=q)
+                total = q[-1]
+                if np.maximum.reduce(total, where=active, initial=0.0) > 1.0:
+                    i = int(np.argmax(active & (total > 1.0)))
+                    raise StepSizeError(
+                        f"summed event probability {total[i]:.6g} > 1 for replica "
+                        f"{first_replica + int(rid[i])} at epoch {int(ptr[i])} "
+                        f"(t = {int(ptr[i]) * dt:g}); decrease dt"
+                    )
+                # -u and -v bit for bit: a power-of-two scale is exact
+                neg_uv = _mix64(key + _PAIR)
+                neg_uv >>= _U53_SHIFT
+                neg_uv = neg_uv * -(2.0**-53)
+                neg_total = -total
+                # the epoch of the next event; inf or nan (T = 0) never fires
+                gap = np.ceil(np.log1p(neg_uv[0]) / np.log1p(neg_total))
+                nxt = ptr + np.maximum(gap, 1.0)
+                fires = nxt <= n_epochs
+                fires &= active
+                np.less(nxt, n_epochs, out=active, where=active)  # an event in the last epoch ends the run
+                np.copyto(ptr, nxt, where=fires, casting="unsafe")
+                np.add(key, _KEY_STEP, out=key, where=fires)
+                # x = v T = (-v)(-T), capped below T: q <= the float before T iff
+                # q < T, so x == T selects the last event of positive probability;
+                # a slot that does not fire reads x = inf, no_event. Every event
+                # index is in range, so take need not check it
+                x = np.where(fires, np.minimum(neg_uv[1] * neg_total, np.nextafter(total, 0.0)), np.inf)
+                d = np.take(eng.delta, _select(q, x), axis=1, out=step[0], mode="clip")
                 if stride:
-                    k = -(-done // stride)  # first sample that includes the event
-                    # an event adds d to its sample's sum and new^2 - old^2 = d (old + new)
-                    # to its sum of squares
-                    step = np.empty((ev.size, 2, 3 * m), dtype=np.int64)
-                    step[:, 0] = d
-                    np.add(old, new, out=step[:, 1])
-                    step[:, 1] *= d
-                    if n_epochs % stride:  # an event after the last sample is in none
-                        seen = k < n_samples
-                        k, step = k[seen], step[seen]
-                    np.add.at(moments, k, step)
-                    del step  # freed before the next round, so the peak stays per round
-                gone = (ext[r] < 0) & (new[:, m : 2 * m].sum(axis=1) == 0)
-                ext[r[gone]] = done[gone]
+                    # an event adds d to the sums of its first sample and
+                    # new^2 - old^2 = d (2 old + d) to the sums of squares
+                    np.add(state, state, out=step[1])
+                    step[1] += d
+                    step[1] *= d
+                    k = (ptr + (stride - 1)) // stride
+                    np.add.at(flat, (rows + k * (6 * m)).ravel(), step.ravel())
+                state += d
+                # actives never come back, so the first epoch without any is the least
+                extinct = np.add.reduce(state[m : 2 * m], axis=0) == 0
+                np.minimum(ext, ptr, out=ext, where=extinct)
                 if not stride:
-                    active[ev[gone]] = False
+                    np.copyto(active, False, where=extinct)
 
-            # drop finished slots once they make up half the batch
-            live = np.flatnonzero(active)
-            if live.size <= n // 2:
-                rid, key, ptr = rid[live], key[live], ptr[live]
-                n = live.size
-                active = np.ones(n, dtype=bool)
-                p = eng.make_buffers(n)
-                q = np.empty_like(p)
+            # half the slots are finished: write them back and drop them
+            done = ~active
+            out.final[rid[done]] = state[:, done].T
+            out.ext_epoch[rid[done]] = np.where(ext[done] > n_epochs, -1, ext[done])
+            rid, key, ptr, ext, state = rid[active], key[active], ptr[active], ext[active], state[:, active]
+            n = rid.size
 
     if stride:
         np.cumsum(moments, axis=0, out=moments)
-        out.sums, out.sumsq = moments[:, 0], moments[:, 1]
+        out.sums, out.sumsq = moments[:n_samples, 0], moments[:n_samples, 1]
     return out
 
 
@@ -608,9 +599,9 @@ def simulate_replica(
     """
     seed = _check_seed(seed)
     n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every)
-    out = _run_replicas(params, mode, logistic, init, dt, n_epochs, [seed], stride=stride)
+    # the int64 moments are freed here, before the table is built
+    tr = _run_replicas(params, mode, logistic, init, dt, n_epochs, [seed], stride=stride).sums.astype(float)
     m = params.m
-    tr = out.sums.astype(float)
     n_samples = tr.shape[0]
     times = np.arange(n_samples) * (stride * dt)
     return TrajectoryTable(times=times, s=tr[:, :m], a=tr[:, m : 2 * m], dd=tr[:, 2 * m :])
@@ -773,7 +764,7 @@ def _exact_kernel(params: ModelParams, n: int, dt: float) -> tuple[np.ndarray, n
     a = np.arange(s.size, dtype=np.int64) - _simplex_index(n, s, 0)
     eng = _Engine(params, PAPER_LITERAL, dt, None)
     prob = eng.probabilities(np.column_stack([s, a, n - s - a]))
-    total = np.cumsum(prob, axis=1)[:, -1]
+    total = np.cumsum(prob, axis=1)[:, -1].copy()  # a copy, so the running sums are freed
     over = np.flatnonzero(total > 1.0)
     if over.size:
         raise StepSizeError(f"summed event probability {float(total[over[0]]):.6g} > 1; decrease dt")
@@ -782,7 +773,7 @@ def _exact_kernel(params: ModelParams, n: int, dt: float) -> tuple[np.ndarray, n
     keep = vals != 0.0
     keep[:, -1] = True
     col, ev = np.nonzero(keep)
-    row = _simplex_index(n, s[col] + eng.delta[ev, 0], a[col] + eng.delta[ev, 1])
+    row = _simplex_index(n, s[col] + eng.delta[0, ev], a[col] + eng.delta[1, ev])
     return np.column_stack([s, a]), row, col, vals[keep]
 
 

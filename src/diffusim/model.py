@@ -189,12 +189,19 @@ def ode_rhs(params: ModelParams, state: ContinuousState) -> tuple[np.ndarray, np
 
     Returns:
         Tuple (ds, da, ddd) of length-m arrays.
+
+    Raises:
+        NumericError: naming the first non-finite component, in the order
+            s, a, dd and group by group within each.
     """
     if state.m != params.m:
         raise DomainError(f"state has {state.m} groups, params expect {params.m}")
     flow, _ = _kernel(params)
     dy = np.array(flow(*state.s.tolist(), *state.a.tolist(), *state.dd.tolist()))
     m = params.m
+    if not np.isfinite(dy).all():
+        k = int(np.argmin(np.isfinite(dy)))
+        raise NumericError(f"derivative of {('s', 'a', 'dd')[k // m]}_{k % m + 1} is not finite: {float(dy[k])!r}")
     return dy[:m], dy[m : 2 * m], dy[2 * m :]
 
 

@@ -24,7 +24,7 @@ from diffusim import (
     monte_carlo_mean,
     simulate_replica,
 )
-from diffusim.dtmc import _run_replicas
+from diffusim.dtmc import _Engine, _run_replicas
 from diffusim.errors import DomainError, StepSizeError
 
 
@@ -159,6 +159,30 @@ def test_one_step_frequencies_match_the_table_within_four_sigma():
         pk = probs[signatures[delta]]
         z = abs(c - n_reps * pk) / math.sqrt(n_reps * pk * (1.0 - pk))
         assert z < 4.0, (delta, c, pk, z)
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+@pytest.mark.parametrize("logistic", [None, LogisticConfig(enabled=True, growth_rate=0.5, capacity=300.0)])
+def test_probabilities_of_a_row_do_not_depend_on_its_batch(m, logistic):
+    # gamma . a is the left-to-right sum of the products a_i gamma_i, so a
+    # row filled alone has the bits it has inside a batch of any width; a
+    # BLAS product's bits depend on the batch's shape
+    rng = np.random.default_rng(100 + m)
+    p = ModelParams(m=m, n_total=1000.0, alpha=1.7, b=0.01, d=0.01, rho=0.2, delta=0.03, phi=0.03,
+                    eps=rng.uniform(0.05, 1.0, m), gamma=rng.uniform(0.05, 1.0, m))
+    rows = rng.integers(0, 300, (257, 3 * m))
+    eng = _Engine(p, FULL, 1e-4, logistic)
+    alone = np.vstack([eng.probabilities(rows[r : r + 1]) for r in range(rows.shape[0])])
+    for width in (2, 255, 256, 257):
+        np.testing.assert_array_equal(eng.probabilities(rows[:width]), alone[:width])
+    if logistic is None:
+        # activation i is (alpha dt eps_i / n_total) s_i (gamma . a), in Python floats
+        for row, got in zip(rows[:16].tolist(), alone[:16]):
+            scale = row[m] * float(p.gamma[0])
+            for i in range(1, m):
+                scale += row[m + i] * float(p.gamma[i])
+            want = [row[i] * (1.7 * 1e-4 * float(p.eps[i]) / 1000.0) * scale for i in range(m)]
+            assert got[:m].tolist() == want
 
 
 # ----------------------------------------------------------- stability bound
@@ -361,6 +385,42 @@ def test_ensemble_error_shrinks_at_the_root_n_rate():
         errs[n] = float(np.sqrt(np.mean((got - exact) ** 2)))
     assert errs[1000] > errs[10000] > errs[100000]
     assert errs[1000] / errs[100000] > 3.0
+
+
+def split_runs(params, logistic, init, dt, n_epochs, seeds, stride, cuts):
+    """``_run_replicas`` over ``seeds`` cut into batches at ``cuts``: (ext, final, sums, sumsq)."""
+    bounds = [0, *cuts, len(seeds)]
+    parts = [_run_replicas(params, FULL, logistic, init, dt, n_epochs, seeds[lo:hi], stride=stride, first_replica=lo)
+             for lo, hi in zip(bounds, bounds[1:])]
+    sums = sum(o.sums for o in parts) if stride else None
+    sumsq = sum(o.sumsq for o in parts) if stride else None
+    return (np.concatenate([o.ext_epoch for o in parts]), np.vstack([o.final for o in parts]), sums, sumsq)
+
+
+@pytest.mark.parametrize("stride", [0, 7])
+@pytest.mark.parametrize("logistic", [None, LogisticConfig(enabled=True, growth_rate=0.2, capacity=150.0)])
+def test_replicas_do_not_depend_on_how_the_batch_is_cut(logistic, stride):
+    # m = 2 with fast deactivation, so many replicas go extinct and leave
+    # their slots at different rounds; the same 300 seeds as one batch, cut
+    # at 1, 255, 256 and 257, and one replica at a time
+    p = ModelParams(m=2, n_total=100.0, alpha=1.0, b=0.01, d=0.01, rho=0.2, delta=0.03, phi=0.5,
+                    eps=np.array([0.4, 0.6]), gamma=np.array([0.4, 0.7]))
+    init = DiscreteState(s=np.array([30, 42]), a=np.array([2, 1]), dd=np.zeros(2))
+    seeds = np.array([derive_replica_seed(1234, r) for r in range(300)], dtype=np.uint64)
+    n_epochs = 601  # not a multiple of the stride
+    whole = split_runs(p, logistic, init, 0.005, n_epochs, seeds, stride, [])
+    for cuts in ([1, 255, 256, 257], list(range(1, 300))):
+        for want, got in zip(whole, split_runs(p, logistic, init, 0.005, n_epochs, seeds, stride, cuts)):
+            np.testing.assert_array_equal(got, want)
+    extinct = np.count_nonzero(whole[0] > 0)
+    assert 60 < extinct < 240, extinct
+    if stride:
+        # the events of epochs 596-601 follow the last sample, at 595, and
+        # land in no sample: the run to 595 has the same sums
+        short = _run_replicas(p, FULL, logistic, init, 0.005, 595, seeds, stride=stride)
+        np.testing.assert_array_equal(short.sums, whole[2])
+        np.testing.assert_array_equal(short.sumsq, whole[3])
+        assert not np.array_equal(short.final, whole[1])
 
 
 # ----------------------------------------------------------- extinction time

@@ -160,6 +160,21 @@ def test_flow_field_group_count_must_match():
         ode_rhs(single_group_params(), demo_state())
 
 
+def test_flow_field_refuses_a_non_finite_derivative():
+    # table2 at s = a = 1e300: the activation term overflows, so s' is -inf
+    # and a' is +inf; the first non-finite component is named, without
+    # a numpy warning first
+    huge = ContinuousState(t=0.0, s=[1e300, 1e300], a=[1e300, 1e300], dd=[0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^derivative of s_1 is not finite: -inf$"):
+            ode_rhs(two_group_params(), huge)
+    # a finite derivative of an equally huge state passes: no activation without actives
+    calm = ContinuousState(t=0.0, s=[1e300, 1e300], a=[0.0, 0.0], dd=[0.0, 0.0])
+    ds, da, _ = ode_rhs(two_group_params(), calm)
+    assert np.all(np.isfinite(ds)) and np.all(da == 0.0)
+
+
 # ---------------------------------------------------------------- equilibria
 
 

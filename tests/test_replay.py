@@ -55,11 +55,12 @@ def uniform(seed: int, k: int) -> float:
 
 
 def step_events(params, mode, logistic, init, dt, n_epochs, seed, stride):
-    """v2 oracle for one replica: (trajectory, extinction epoch, final state).
+    """v2 oracle for one replica: (trajectory, extinction epoch, final state, events).
 
     With ``stride == 0`` the replica stops when its actives run out and the
     trajectory is empty. Raises ``StepSizeError`` naming the epoch it was
-    about to simulate from a state whose summed probability exceeds 1.
+    about to simulate from a state whose summed probability exceeds 1, and
+    the events before it.
     """
     eng = _Engine(params, mode, dt, logistic)
     m = params.m
@@ -71,7 +72,7 @@ def step_events(params, mode, logistic, init, dt, n_epochs, seed, stride):
         q = np.cumsum(eng.probabilities(state[None, :])[0])
         total = q[-1]
         if total > 1.0:
-            raise StepSizeError(f"epoch {ptr}")
+            raise StepSizeError(f"epoch {ptr} after {events} events")
         u, v = uniform(seed, 2 * events + 1), uniform(seed, 2 * events + 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = np.maximum(np.ceil(np.log1p(np.float64(-u)) / np.log1p(-total)), 1.0)
@@ -83,12 +84,12 @@ def step_events(params, mode, logistic, init, dt, n_epochs, seed, stride):
             filled += 1
         x = v * total
         k = min(int(np.searchsorted(q, x, side="right")), int(np.searchsorted(q, total, side="left")))
-        state += eng.delta[k]
+        state += eng.delta[:, k]
         events += 1
         if ext < 0 and state[m : 2 * m].sum() == 0:
             ext = ptr
     traj[filled:] = state
-    return traj, ext, state
+    return traj, ext, state, events
 
 
 def step_epochs(params, mode, logistic, init, dt, n_epochs, seeds, *,
@@ -114,12 +115,12 @@ def step_epochs(params, mode, logistic, init, dt, n_epochs, seeds, *,
     p = eng.make_buffers(n)
     q = np.empty_like(p)
     for epoch in range(n_epochs):
-        eng.fill_probabilities(state, p)
-        np.cumsum(p, axis=1, out=q)
-        if np.any(q[running, -1] > 1.0):
+        eng.fill_probabilities(state.T, p)
+        np.cumsum(p, axis=0, out=q)
+        if np.any(q[-1, running] > 1.0):
             raise StepSizeError(f"epoch {epoch}")
         idx = _select(q, uniforms[:, epoch])
-        state[running] += eng.delta[idx[running]]
+        state[running] += eng.delta[:, idx[running]].T
         fresh = (a.sum(axis=1) == 0) & (ext < 0)
         ext[fresh] = epoch + 1
         if stop_when_extinct:
@@ -201,7 +202,7 @@ def test_zero_uniform_never_fires_a_zero_probability_event():
     eng = _Engine(p, FULL, 1e-3, None)
     q = np.cumsum(eng.probabilities(np.array([[0, 40, 3, 2, 1, 1]])), axis=1)
     assert q[0, 0] == 0.0 and q[0, 1] > 0.0
-    assert _select(q, np.array([0.0]))[0] == 1
+    assert _select(q.T, np.array([0.0]))[0] == 1
 
 
 def test_selection_is_a_right_sided_search_at_every_bound():
@@ -212,7 +213,7 @@ def test_selection_is_a_right_sided_search_at_every_bound():
     rng = np.random.default_rng(5)
     probes = np.concatenate([row, np.nextafter(row, -1.0), [0.0, 1.0 - 2**-53],
                              rng.uniform(0.0, 2 * row[-1], 200)])
-    got = _select(np.repeat(q, probes.size, axis=0), probes)
+    got = _select(np.repeat(q.T, probes.size, axis=1), probes)
     np.testing.assert_array_equal(got, np.searchsorted(row, probes, side="right"))
     # no event at or past the last bound
     assert np.all(got[probes >= row[-1]] == row.size)
@@ -473,6 +474,26 @@ def test_chain_raises_once_births_push_past_the_bound():
         simulate_replica(p, init, 1.0, 200.0, FULL, seed=seed)
     # the horizon ends before that state is simulated: no error
     simulate_replica(p, init, 1.0, float(epoch), FULL, seed=seed)
+
+
+def test_an_overloaded_round_skips_its_masked_finished_slots():
+    # to a horizon of 12 epochs: replica 189 fires its 8th and last event
+    # in epoch 12 into an overloaded state, so it is finished; replica 2
+    # runs 12 events and replica 48 overloads after 10. As one batch, 189's
+    # slot stays, masked, from round 9 (one finished slot of three is not
+    # half the batch), and round 11 must raise for 48 alone
+    p, init = overloaded()
+    seeds = [derive_replica_seed(8, r) for r in (189, 2, 48)]
+    _, _, state, events = step_events(p, FULL, None, init, 1.0, 12, seeds[0], 1)
+    assert events == 8 and 0.5 + 0.1 * state[0] > 1.0
+    assert step_events(p, FULL, None, init, 1.0, 12, seeds[1], 1)[3] == 12
+    with pytest.raises(StepSizeError, match=r"^epoch 11 after 10 events$"):
+        step_events(p, FULL, None, init, 1.0, 12, seeds[2], 1)
+    with pytest.raises(StepSizeError, match=r"replica 2 at epoch 11 "):
+        _run_replicas(p, FULL, None, init, 1.0, 12, seeds, stride=1)
+    # without the overloading replica the batch runs to the horizon
+    out = _run_replicas(p, FULL, None, init, 1.0, 12, seeds[:2], stride=1)
+    np.testing.assert_array_equal(out.final[0], state)
 
 
 def test_ensemble_error_names_the_replica_and_its_epoch():
