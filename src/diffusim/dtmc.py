@@ -47,9 +47,18 @@ Reproducibility contract, version 2 (v1 drew one PCG64 uniform per epoch):
   never fires. The gap uses numpy's ``log1p``, so the bits hold per numpy
   build and CPU: ``math.log1p`` differs from it in the last bit on some
   inputs.
-* Ensemble reductions are exact integer sums over fixed chunks of 256
-  replicas, combined in index order. A single replica's trajectory is
+* An ensemble streams through one batch of at most 512 slots. When half
+  the slots are finished, the next replicas in index order take their
+  places; the batch shrinks only once none are left. Its reductions are
+  exact integer sums, which no order of addition changes, so the batch
+  width never enters an output's bits. A single replica's trajectory is
   the same sum over a one-replica batch.
+* A round moves every running replica by one event. The first round in
+  which a running replica would simulate an epoch from a state whose
+  summed event probability exceeds 1 raises StepSizeError, naming the
+  lowest ensemble index among the overloaded replicas. Replicas past the
+  first 512 start at a refill, so which one that is can depend on the
+  batch width; an ensemble of at most 512 replicas starts whole.
 
 A batch advances from event to event, so its cost grows with the events
 rather than the epochs. It is held in column layout, one row per
@@ -99,9 +108,8 @@ FULL = "full"
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
-# ensembles are simulated in fixed chunks of this many replicas, reduced
-# in chunk order
-_CHUNK_REPLICAS = 256
+# an ensemble streams through a batch of at most this many slots
+_BATCH_SLOTS = 512
 # event j of a replica hashes seed + (2j + 1) gamma and seed + (2j + 2) gamma:
 # its key seed + 2j gamma plus this column, after which the key moves on by _KEY_STEP
 _PAIR = np.array([[_GOLDEN], [(2 * _GOLDEN) & _MASK64]], dtype=np.uint64)
@@ -404,11 +412,25 @@ def max_stable_dt(params: ModelParams, n: float, *, logistic: LogisticConfig | N
 
 @dataclass
 class _RunOutput:
-    ext_epoch: np.ndarray                 # (replicas,) epochs until no actives, -1 if none
-    final: np.ndarray                     # (replicas, 3m) last simulated state
+    final: np.ndarray                     # (3m,) int64 sum over replicas of the last simulated states
+    ext_epoch: np.ndarray | None = None   # (replicas,) first passage: epochs until no actives, -1 if none
     sums: np.ndarray | None = None        # (samples, 3m) int64 sum over replicas
     sumsq: np.ndarray | None = None       # (samples, 3m) int64 sum of squares
-    # sums and sumsq are the two halves of one (samples, 2, 3m) array
+    # in a sampled run final, sums and sumsq are views of one (samples + 1, 2, 3m) array
+
+
+class _ReplicaSeeds:
+    """The seeds of replicas 0..n-1 of a master ``seed``; a slice derives only its own."""
+
+    def __init__(self, seed: int, n: int):
+        self.seed, self.n = seed, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        lo, hi, _ = index.indices(self.n)
+        return _replica_seeds(self.seed, lo, hi)
 
 
 def _run_replicas(
@@ -418,12 +440,11 @@ def _run_replicas(
     init: DiscreteState,
     dt: float,
     n_epochs: int,
-    seeds: np.ndarray | list[int],
+    seeds: np.ndarray | list[int] | _ReplicaSeeds,
     *,
     stride: int = 0,
-    first_replica: int = 0,
 ) -> _RunOutput:
-    """Advance a batch of replicas from event to event, two uniforms per event.
+    """Advance an ensemble from event to event, two uniforms per event.
 
     Each replica runs in a slot, a column of every array of the round, with
     an epoch pointer and the key of its next uniforms. A round fills the
@@ -431,64 +452,94 @@ def _run_replicas(
     (see the module docstring), moves the pointer to the epoch of the next
     event and applies it; a slot that does not fire applies the zero
     no_event column. A replica whose next event falls past ``n_epochs`` is
-    finished; its slot is written back once half the slots are finished.
-    Samples are recorded as per-sample differences and summed at the end.
+    finished. The batch holds at most ``_BATCH_SLOTS`` slots; once half of
+    them are finished they are dropped and the next replicas, in index
+    order, take their places, so the batch shrinks only when none are
+    left. Slots stay in replica order. Samples are recorded as per-sample
+    differences and summed at the end.
 
     ``stride`` chooses the run. With ``stride > 0`` every replica runs all
     ``n_epochs`` and the state is sampled every ``stride`` epochs, as the
     int64 sums over replicas of the samples and of their squares in
-    ``sums`` and ``sumsq``; for a one-replica batch ``sums`` is the
-    replica's trajectory. With ``stride == 0`` nothing is sampled and the
+    ``sums`` and ``sumsq``. With ``stride == 0`` nothing is sampled and the
     run is a first passage: a replica stops at the epoch in which its
-    actives run out. Every run returns each replica's extinction epoch and
-    its last simulated state.
+    actives run out, and the run returns each replica's extinction epoch,
+    the only array that grows with the ensemble. Every run returns the sum
+    over replicas of their last simulated states in ``final``; for a
+    one-replica batch the sums are the replica's own.
 
-    ``seeds`` are the replicas' 64-bit seeds (a sequence or uint64 array).
-    ``first_replica`` is the ensemble index of ``seeds[0]``; errors name
-    replicas by ensemble index.
+    ``seeds`` are the replicas' 64-bit seeds: a sequence, a uint64 array,
+    or a :class:`_ReplicaSeeds`, which derives them as they are taken.
+    Errors name replicas by their index in ``seeds``.
 
     Raises:
         StepSizeError: if a replica, before its last simulated epoch,
-            enters a state whose summed event probability exceeds 1.
+            enters a state whose summed event probability exceeds 1. The
+            first round in which a running slot is overloaded raises, and
+            names the lowest replica index among its overloaded slots.
     """
     eng = _Engine(params, mode, dt, logistic)
     m = params.m
     n_rep = len(seeds)
     start = np.concatenate([init.s, init.a, init.dd])
     extinct0 = init.a.sum() == 0
-    out = _RunOutput(ext_epoch=np.full(n_rep, 0 if extinct0 else -1), final=np.tile(start, (n_rep, 1)))
-    n_samples = (n_epochs // stride + 1) if stride else 0
+    n_run = n_rep if n_epochs > 0 and (stride or not extinct0) else 0  # replicas with epochs to run
     if stride:
-        # sample n_samples takes the events after the last sample
+        n_samples = n_epochs // stride + 1
+        # sample n_samples takes the events after the last sample, so after
+        # the running sum it holds the summed last states
         moments = np.zeros((n_samples + 1, 2, 3 * m), dtype=np.int64)
         moments[0] = n_rep * np.stack([start, np.square(start)])
         flat = moments.reshape(-1)
         rows = np.arange(6 * m)[:, None]
+    else:
+        ext_epoch = np.full(n_rep, 0 if extinct0 else -1)
+        final = (n_rep - n_run) * start
 
     # slot i runs replica rid[i] from state[:, i]; ptr[i] epochs are
     # simulated, key[i] is seed + 2j gamma (mod 2^64) before its event j, and
-    # ext[i] is the extinction epoch, n_epochs + 1 until the actives run out
-    n = n_rep if n_epochs > 0 and (stride or not extinct0) else 0
-    rid = np.arange(n)
-    state = np.repeat(start[:, None], n, axis=1)
-    key = np.array(seeds[:n], dtype=np.uint64)
-    ptr = np.zeros(n, dtype=np.int64)
-    ext = np.full(n, 0 if extinct0 else n_epochs + 1)
+    # in a first passage ext[i] is the extinction epoch, n_epochs + 1 until
+    # the actives run out. Replicas [taken, n_run) wait for a slot
+    taken = 0
+    rid = np.empty(0, dtype=np.int64)
+    key = np.empty(0, dtype=np.uint64)
+    ptr = np.empty(0, dtype=np.int64)
+    ext = np.empty(0, dtype=np.int64)
+    state = np.empty((3 * m, 0), dtype=np.int64)
+    active = np.empty(0, dtype=bool)
+    p = np.empty((eng.n_events, 0))
 
     # log1p(-T) is -0.0 at T = 0 and -inf at T = 1; a finished slot's T may exceed 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        while n:
+        while True:
+            # half the slots are finished (none at the start): write them
+            # back, drop them and give their places to the next replicas
+            if not stride:
+                done = ~active
+                final += np.add.reduce(state[:, done], axis=1)
+                ext_epoch[rid[done]] = np.where(ext[done] > n_epochs, -1, ext[done])
+            new = min(_BATCH_SLOTS - np.count_nonzero(active), n_run - taken)
+            rid = np.concatenate([rid[active], np.arange(taken, taken + new)])
+            key = np.concatenate([key[active], np.asarray(seeds[taken : taken + new], dtype=np.uint64)])
+            ptr = np.concatenate([ptr[active], np.zeros(new, dtype=np.int64)])
+            ext = np.concatenate([ext[active], np.full(new, n_epochs + 1)])
+            state = np.concatenate([state[:, active], np.repeat(start[:, None], new, axis=1)], axis=1)
+            taken += new
+            n = rid.size
+            if not n:
+                break
+            if p.shape[1] != n:
+                p, q, step = eng.make_buffers(n), np.empty((eng.n_events, n)), np.empty((2, 3 * m, n), dtype=np.int64)
             active = np.ones(n, dtype=bool)
-            p, q, step = eng.make_buffers(n), np.empty((eng.n_events, n)), np.empty((2, 3 * m, n), dtype=np.int64)
             while np.count_nonzero(active) > n // 2:
                 eng.fill_probabilities(state, p)
                 np.add.accumulate(p, axis=0, out=q)
                 total = q[-1]
                 if np.maximum.reduce(total, where=active, initial=0.0) > 1.0:
-                    i = int(np.argmax(active & (total > 1.0)))
+                    i = int(np.argmax(active & (total > 1.0)))  # the lowest replica: slots are in order
                     raise StepSizeError(
                         f"summed event probability {total[i]:.6g} > 1 for replica "
-                        f"{first_replica + int(rid[i])} at epoch {int(ptr[i])} "
+                        f"{int(rid[i])} at epoch {int(ptr[i])} "
                         f"(t = {int(ptr[i]) * dt:g}); decrease dt"
                     )
                 # -u and -v bit for bit: a power-of-two scale is exact
@@ -510,32 +561,25 @@ def _run_replicas(
                 # index is in range, so take need not check it
                 x = np.where(fires, np.minimum(neg_uv[1] * neg_total, np.nextafter(total, 0.0)), np.inf)
                 d = np.take(eng.delta, _select(q, x), axis=1, out=step[0], mode="clip")
+                state += d
                 if stride:
                     # an event adds d to the sums of its first sample and
-                    # new^2 - old^2 = d (2 old + d) to the sums of squares
+                    # new^2 - old^2 = d (2 new - d) to the sums of squares
                     np.add(state, state, out=step[1])
-                    step[1] += d
+                    step[1] -= d
                     step[1] *= d
                     k = (ptr + (stride - 1)) // stride
                     np.add.at(flat, (rows + k * (6 * m)).ravel(), step.ravel())
-                state += d
-                # actives never come back, so the first epoch without any is the least
-                extinct = np.add.reduce(state[m : 2 * m], axis=0) == 0
-                np.minimum(ext, ptr, out=ext, where=extinct)
-                if not stride:
+                else:
+                    # actives never come back, so the first epoch without any is the least
+                    extinct = np.add.reduce(state[m : 2 * m], axis=0) == 0
+                    np.minimum(ext, ptr, out=ext, where=extinct)
                     np.copyto(active, False, where=extinct)
 
-            # half the slots are finished: write them back and drop them
-            done = ~active
-            out.final[rid[done]] = state[:, done].T
-            out.ext_epoch[rid[done]] = np.where(ext[done] > n_epochs, -1, ext[done])
-            rid, key, ptr, ext, state = rid[active], key[active], ptr[active], ext[active], state[:, active]
-            n = rid.size
-
-    if stride:
-        np.cumsum(moments, axis=0, out=moments)
-        out.sums, out.sumsq = moments[:n_samples, 0], moments[:n_samples, 1]
-    return out
+    if not stride:
+        return _RunOutput(final=final, ext_epoch=ext_epoch)
+    np.cumsum(moments, axis=0, out=moments)
+    return _RunOutput(final=moments[n_samples, 0], sums=moments[:n_samples, 0], sumsq=moments[:n_samples, 1])
 
 
 def _chain_setup(
@@ -607,10 +651,6 @@ def simulate_replica(
     return TrajectoryTable(times=times, s=tr[:, :m], a=tr[:, m : 2 * m], dd=tr[:, 2 * m :])
 
 
-def _replica_chunks(n_replicas: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK_REPLICAS, n_replicas)) for lo in range(0, n_replicas, _CHUNK_REPLICAS)]
-
-
 def monte_carlo_mean(
     params: ModelParams,
     init: DiscreteState,
@@ -634,21 +674,13 @@ def monte_carlo_mean(
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
     seed = _check_seed(seed)
     n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every)
-    sums = sumsq = 0
-    for lo, hi in _replica_chunks(n_replicas):
-        res = _run_replicas(
-            params, mode, logistic, init, dt, n_epochs,
-            _replica_seeds(seed, lo, hi),
-            stride=stride, first_replica=lo,
-        )
-        sums = sums + res.sums
-        sumsq = sumsq + res.sumsq
+    res = _run_replicas(params, mode, logistic, init, dt, n_epochs, _ReplicaSeeds(seed, n_replicas), stride=stride)
     n = float(n_replicas)
-    mean = sums / n
+    mean = res.sums / n
     if n_replicas == 1:
         sd = np.zeros_like(mean)
     else:
-        var = (sumsq - n * mean * mean) / (n - 1.0)
+        var = (res.sumsq - n * mean * mean) / (n - 1.0)
         sd = np.sqrt(np.maximum(var, 0.0))
     m = params.m
     n_samples = mean.shape[0]
@@ -702,13 +734,7 @@ def extinction_time_stochastic(
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
     seed = _check_seed(seed)
     n_epochs, _ = _chain_setup(params, init, mode, dt, horizon)
-    epochs = np.concatenate([
-        _run_replicas(
-            params, mode, logistic, init, dt, n_epochs,
-            _replica_seeds(seed, lo, hi), first_replica=lo,
-        ).ext_epoch
-        for lo, hi in _replica_chunks(n_replicas)
-    ])
+    epochs = _run_replicas(params, mode, logistic, init, dt, n_epochs, _ReplicaSeeds(seed, n_replicas)).ext_epoch
     times = np.where(epochs >= 0, epochs * dt, np.nan)
     done = times[np.isfinite(times)]
     n_censored = int(n_replicas - done.size)

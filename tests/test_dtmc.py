@@ -1,6 +1,8 @@
 """Discrete-time chain: probabilities, replicas, ensembles, exact law."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from diffusim import (
     monte_carlo_mean,
     simulate_replica,
 )
-from diffusim.dtmc import _Engine, _run_replicas
+from diffusim.dtmc import _BATCH_SLOTS, _Engine, _ReplicaSeeds, _run_replicas
 from diffusim.errors import DomainError, StepSizeError
 
 
@@ -141,24 +143,24 @@ def test_one_step_frequencies_match_the_table_within_four_sigma():
     dt = 0.05
     table = event_probabilities(p, init, dt, PAPER_LITERAL)
     probs = {e.kind: float(v) for e, v in table.probabilities.items()}
-    signatures = {(-1, 1, 0): "activate", (0, -1, 1): "deactivate",
-                  (1, 0, -1): "return", (-1, 0, 1): "withdraw",
-                  (0, 0, 0): "no_event"}
+    kinds = ["activate", "deactivate", "return", "withdraw"]
+    deltas = np.array([(-1, 1, 0), (0, -1, 1), (1, 0, -1), (-1, 0, 1)])
     n_reps = 1_000_000
-    counts: dict[tuple, int] = {}
     base = np.array([10, 5, 5])
-    for lo in range(0, n_reps, 100_000):
-        seeds = [derive_replica_seed(13, r) for r in range(lo, lo + 100_000)]
-        out = _run_replicas(p, PAPER_LITERAL, None, init, dt, 1, seeds)
-        deltas = out.final - base
-        uniq, n = np.unique(deltas, axis=0, return_counts=True)
-        for row, c in zip(map(tuple, uniq.tolist()), n):
-            counts[row] = counts.get(row, 0) + int(c)
-    assert set(counts) == set(signatures)
-    for delta, c in counts.items():
-        pk = probs[signatures[delta]]
+    # over one sampled epoch, n_k replicas firing event k move the sums of
+    # the state by n_k delta_k and those of its square by
+    # n_k (2 base delta_k + delta_k^2); the six sums fix the four counts
+    moves = np.hstack([deltas, 2 * base * deltas + deltas**2]).T
+    out = _run_replicas(p, PAPER_LITERAL, None, init, dt, 1, _ReplicaSeeds(13, n_reps), stride=1)
+    seen = np.concatenate([out.sums[1] - n_reps * base, out.sumsq[1] - n_reps * base**2])
+    fitted, _, rank, _ = np.linalg.lstsq(moves, seen, rcond=None)
+    n = np.rint(fitted).astype(np.int64)
+    assert rank == 4 and np.array_equal(moves @ n, seen) and np.all(n > 0), (fitted, seen)
+    counts = dict(zip(kinds, n.tolist()), no_event=n_reps - int(n.sum()))
+    for kind, c in counts.items():
+        pk = probs[kind]
         z = abs(c - n_reps * pk) / math.sqrt(n_reps * pk * (1.0 - pk))
-        assert z < 4.0, (delta, c, pk, z)
+        assert z < 4.0, (kind, c, pk, z)
 
 
 @pytest.mark.parametrize("m", [2, 3, 8])
@@ -359,7 +361,6 @@ def test_deterministic_chain_mean_is_the_initial_state():
 
 
 def test_ensemble_mean_and_spread_match_per_replica_streams():
-    # crosses the fixed chunk boundary (300 > 256) on purpose
     p = single_group_params()
     n = 300
     mc = monte_carlo_mean(p, small_init(), 0.05, 5.0, PAPER_LITERAL,
@@ -387,40 +388,99 @@ def test_ensemble_error_shrinks_at_the_root_n_rate():
     assert errs[1000] / errs[100000] > 3.0
 
 
+def fast_extinction_chain() -> tuple[ModelParams, DiscreteState]:
+    # m = 2 with fast deactivation, so many replicas go extinct and leave
+    # their slots at different rounds
+    p = ModelParams(m=2, n_total=100.0, alpha=1.0, b=0.01, d=0.01, rho=0.2, delta=0.03, phi=0.5,
+                    eps=np.array([0.4, 0.6]), gamma=np.array([0.4, 0.7]))
+    return p, DiscreteState(s=np.array([30, 42]), a=np.array([2, 1]), dd=np.zeros(2))
+
+
 def split_runs(params, logistic, init, dt, n_epochs, seeds, stride, cuts):
-    """``_run_replicas`` over ``seeds`` cut into batches at ``cuts``: (ext, final, sums, sumsq)."""
+    """``_run_replicas`` over ``seeds`` cut into batches at ``cuts``.
+
+    A first passage gives (extinction epochs per replica, summed final
+    states); a sampled run gives the sums over replicas of (final states,
+    samples, their squares).
+    """
     bounds = [0, *cuts, len(seeds)]
-    parts = [_run_replicas(params, FULL, logistic, init, dt, n_epochs, seeds[lo:hi], stride=stride, first_replica=lo)
+    parts = [_run_replicas(params, FULL, logistic, init, dt, n_epochs, seeds[lo:hi], stride=stride)
              for lo, hi in zip(bounds, bounds[1:])]
-    sums = sum(o.sums for o in parts) if stride else None
-    sumsq = sum(o.sumsq for o in parts) if stride else None
-    return (np.concatenate([o.ext_epoch for o in parts]), np.vstack([o.final for o in parts]), sums, sumsq)
+    if not stride:
+        return np.concatenate([o.ext_epoch for o in parts]), sum(o.final for o in parts)
+    return tuple(sum(getattr(o, field) for o in parts) for field in ("final", "sums", "sumsq"))
 
 
 @pytest.mark.parametrize("stride", [0, 7])
 @pytest.mark.parametrize("logistic", [None, LogisticConfig(enabled=True, growth_rate=0.2, capacity=150.0)])
 def test_replicas_do_not_depend_on_how_the_batch_is_cut(logistic, stride):
-    # m = 2 with fast deactivation, so many replicas go extinct and leave
-    # their slots at different rounds; the same 300 seeds as one batch, cut
-    # at 1, 255, 256 and 257, and one replica at a time
-    p = ModelParams(m=2, n_total=100.0, alpha=1.0, b=0.01, d=0.01, rho=0.2, delta=0.03, phi=0.5,
-                    eps=np.array([0.4, 0.6]), gamma=np.array([0.4, 0.7]))
-    init = DiscreteState(s=np.array([30, 42]), a=np.array([2, 1]), dd=np.zeros(2))
+    # the same 300 seeds as one batch, cut at 1, 255, 256 and 257, and one
+    # replica at a time
+    p, init = fast_extinction_chain()
     seeds = np.array([derive_replica_seed(1234, r) for r in range(300)], dtype=np.uint64)
     n_epochs = 601  # not a multiple of the stride
     whole = split_runs(p, logistic, init, 0.005, n_epochs, seeds, stride, [])
     for cuts in ([1, 255, 256, 257], list(range(1, 300))):
         for want, got in zip(whole, split_runs(p, logistic, init, 0.005, n_epochs, seeds, stride, cuts)):
             np.testing.assert_array_equal(got, want)
-    extinct = np.count_nonzero(whole[0] > 0)
-    assert 60 < extinct < 240, extinct
-    if stride:
+    if not stride:
+        extinct = np.count_nonzero(whole[0] > 0)
+        assert 60 < extinct < 240, extinct
+    else:
         # the events of epochs 596-601 follow the last sample, at 595, and
         # land in no sample: the run to 595 has the same sums
         short = _run_replicas(p, FULL, logistic, init, 0.005, 595, seeds, stride=stride)
-        np.testing.assert_array_equal(short.sums, whole[2])
-        np.testing.assert_array_equal(short.sumsq, whole[3])
-        assert not np.array_equal(short.final, whole[1])
+        np.testing.assert_array_equal(short.sums, whole[1])
+        np.testing.assert_array_equal(short.sumsq, whole[2])
+        assert not np.array_equal(short.final, whole[0])
+
+
+@pytest.mark.parametrize("logistic", [None, LogisticConfig(enabled=True, growth_rate=0.2, capacity=150.0)])
+def test_an_ensemble_streamed_through_refills_equals_its_replicas_alone(logistic):
+    # around one and two batches of slots, from a small population, so
+    # replicas go extinct and leave their slots at many different rounds;
+    # the master seed is near 2^64, so the seeds derived at every refill wrap
+    p, _ = fast_extinction_chain()
+    init = DiscreteState(s=np.array([4, 5]), a=np.array([1, 1]), dd=np.zeros(2))
+    seed, dt, n_epochs, stride = 2**64 - 5, 0.04, 60, 7
+    w = _BATCH_SLOTS
+    sizes = (w - 1, w, w + 1, 2 * w + 3)
+    alone = [derive_replica_seed(seed, r) for r in range(max(sizes))]
+    sampled = [_run_replicas(p, FULL, logistic, init, dt, n_epochs, [s], stride=stride) for s in alone]
+    sums = np.cumsum([o.sums for o in sampled], axis=0)
+    sumsq = np.cumsum([o.sumsq for o in sampled], axis=0)
+    ext = np.concatenate([_run_replicas(p, FULL, logistic, init, dt, n_epochs, [s]).ext_epoch for s in alone])
+    assert 200 < np.count_nonzero(ext > 0) < max(sizes) - 200 and np.unique(ext[ext > 0]).size > 40
+    for n in sizes:
+        mc = monte_carlo_mean(p, init, dt, n_epochs * dt, FULL, n_replicas=n, seed=seed,
+                              sample_every=stride * dt, logistic=logistic)
+        mean = sums[n - 1] / float(n)
+        sd = np.sqrt(np.maximum((sumsq[n - 1] - n * mean * mean) / (n - 1.0), 0.0))
+        for k, (field, sd_field) in enumerate((("s", "sd_s"), ("a", "sd_a"), ("dd", "sd_dd"))):
+            assert getattr(mc, field).tobytes() == mean[:, 2 * k : 2 * k + 2].tobytes()
+            assert getattr(mc, sd_field).tobytes() == sd[:, 2 * k : 2 * k + 2].tobytes()
+        summary = extinction_time_stochastic(p, init, dt, n_epochs * dt, FULL, n_replicas=n, seed=seed,
+                                             logistic=logistic)
+        np.testing.assert_array_equal(summary.times, np.where(ext[:n] >= 0, ext[:n] * dt, np.nan))
+
+
+def test_a_sampled_ensemble_keeps_nothing_per_replica():
+    # the stream's memory is flat in the ensemble size: the traced peak at
+    # 40 batches' worth of replicas is at most 5% above that at two, a
+    # bound fixed before the run
+    p = single_group_params()
+
+    def peak(n: int) -> int:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            monte_carlo_mean(p, small_init(), 0.05, 1.0, PAPER_LITERAL, n_replicas=n, seed=5, sample_every=0.05)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * _BATCH_SLOTS), peak(40 * _BATCH_SLOTS)
+    assert large <= 1.05 * small, (small, large)
 
 
 # ----------------------------------------------------------- extinction time

@@ -5,9 +5,9 @@ the ``dtmc`` docstring). It runs one replica at a time in plain Python:
 it hashes its uniforms with a pure-Python SplitMix64, computes each gap
 with numpy's ``log1p`` on scalars and picks each event with
 ``np.searchsorted``. ``_run_replicas`` must reproduce its sample sums and
-sums of squares, each replica's trajectory (replayed as a one-replica
-batch), extinction epochs and final states exactly, and raise
-``StepSizeError`` for the same runs.
+sums of squares, extinction epochs and summed final states, each
+replica's trajectory and final state (replayed as a one-replica batch)
+exactly, and raise ``StepSizeError`` for the same runs.
 
 The per-epoch stepper of contract v1, one ``PCG64`` uniform per epoch, is
 kept as an oracle in law: it draws different numbers, so v2 must match it
@@ -35,7 +35,7 @@ from diffusim import (
     monte_carlo_mean,
     simulate_replica,
 )
-from diffusim.dtmc import _Engine, _mix64, _run_replicas, _select
+from diffusim.dtmc import _BATCH_SLOTS, _Engine, _mix64, _run_replicas, _select
 from diffusim.errors import StepSizeError
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -133,8 +133,10 @@ def step_epochs(params, mode, logistic, init, dt, n_epochs, seeds, *,
 def assert_replay_matches_stepper(params, mode, logistic, init, dt, n_epochs, seeds, stride):
     """``_run_replicas`` at ``stride`` (0: first passage) must match the per-event stepper exactly.
 
-    With ``stride > 0`` each seed is also run as its own one-replica
-    batch, whose ``sums`` must be that seed's trajectory.
+    The batch keeps no final state per replica, so each seed is also run
+    as its own one-replica batch, whose ``final`` (and with ``stride > 0``
+    its ``sums``) must be that seed's own. With ``stride > 0`` the seeds'
+    first passage must reach the stepper's extinction epochs.
     """
     try:
         runs = [step_events(params, mode, logistic, init, dt, n_epochs, seed, stride) for seed in seeds]
@@ -144,17 +146,23 @@ def assert_replay_matches_stepper(params, mode, logistic, init, dt, n_epochs, se
         return False
     traj = np.stack([r[0] for r in runs])
     out = _run_replicas(params, mode, logistic, init, dt, n_epochs, seeds, stride=stride)
+    finals = np.stack([r[2] for r in runs])
+    assert out.final.dtype == np.int64
+    np.testing.assert_array_equal(out.final, finals.sum(axis=0))
     if not stride:
         assert out.sums is None and out.sumsq is None
+        first = out
     else:
-        assert out.sums.dtype == np.int64 and out.sumsq.dtype == np.int64
+        assert out.sums.dtype == np.int64 and out.sumsq.dtype == np.int64 and out.ext_epoch is None
         np.testing.assert_array_equal(out.sums, traj.sum(axis=0))
         np.testing.assert_array_equal(out.sumsq, np.square(traj).sum(axis=0))
-        for seed, want in zip(seeds, traj):
-            one = _run_replicas(params, mode, logistic, init, dt, n_epochs, [seed], stride=stride)
+        first = _run_replicas(params, mode, logistic, init, dt, n_epochs, seeds)
+    np.testing.assert_array_equal(first.ext_epoch, [r[1] for r in runs])
+    for seed, want, final in zip(seeds, traj, finals):
+        one = _run_replicas(params, mode, logistic, init, dt, n_epochs, [seed], stride=stride)
+        np.testing.assert_array_equal(one.final, final)
+        if stride:
             np.testing.assert_array_equal(one.sums, want)
-    np.testing.assert_array_equal(out.ext_epoch, [r[1] for r in runs])
-    np.testing.assert_array_equal(out.final, np.stack([r[2] for r in runs]))
     return True
 
 
@@ -223,8 +231,8 @@ def test_selection_is_a_right_sided_search_at_every_bound():
 
 
 def test_replay_matches_the_stepper_over_many_seeds():
-    # more than a chunk of table2 replicas in full mode with about one
-    # event in eight epochs; sampled epochs fall between unsampled ones
+    # 300 table2 replicas in full mode with about one event in eight
+    # epochs; sampled epochs fall between unsampled ones
     p = two_group_params(alpha=2.0)
     init = DiscreteState(s=np.array([30, 42]), a=np.array([20, 8]), dd=np.zeros(2))
     seeds = [derive_replica_seed(2718, r) for r in range(300)]
@@ -366,7 +374,7 @@ def test_a_zero_total_never_fires_even_for_a_zero_gap_uniform():
     assert uniform(seeds[0], 1) == 0.0
     out = _run_replicas(p, FULL, None, init, 1.0, 100, seeds, stride=10)
     np.testing.assert_array_equal(out.sums, np.tile([10, 5, 5], (11, 1)) * len(seeds))
-    np.testing.assert_array_equal(out.ext_epoch, -1)
+    np.testing.assert_array_equal(_run_replicas(p, FULL, None, init, 1.0, 100, seeds).ext_epoch, -1)
 
 
 def test_a_total_of_one_fires_every_epoch_for_every_gap_uniform():
@@ -493,7 +501,7 @@ def test_an_overloaded_round_skips_its_masked_finished_slots():
         _run_replicas(p, FULL, None, init, 1.0, 12, seeds, stride=1)
     # without the overloading replica the batch runs to the horizon
     out = _run_replicas(p, FULL, None, init, 1.0, 12, seeds[:2], stride=1)
-    np.testing.assert_array_equal(out.final[0], state)
+    np.testing.assert_array_equal(out.final, state + step_events(p, FULL, None, init, 1.0, 12, seeds[1], 1)[2])
 
 
 def test_ensemble_error_names_the_replica_and_its_epoch():
@@ -508,3 +516,48 @@ def test_ensemble_error_names_the_replica_and_its_epoch():
     simulate_replica(p, init, 1.0, float(epoch), FULL, seed=seed)
     with pytest.raises(StepSizeError, match=rf"replica 0 at epoch {epoch} "):
         simulate_replica(p, init, 1.0, float(epoch + 1), FULL, seed=seed)
+
+
+def births_against_extinction() -> tuple[ModelParams, DiscreteState]:
+    # one active among three heads; an event ends the actives with
+    # probability 4/9 (deactivate or death_a) and adds a head with 3/9, and
+    # the summed probability 0.6 + 0.1 N at dt = 1 is over 1 from N = 5
+    p = ModelParams(m=1, n_total=3.0, alpha=0.0, b=0.3, d=0.1, rho=0.0, delta=0.0,
+                    phi=0.3, eps=1.0, gamma=1.0)
+    return p, DiscreteState(s=np.array([2]), a=np.array([1]), dd=np.array([0]))
+
+
+def test_errors_name_replicas_by_ensemble_index_across_a_refill():
+    # first passages to 200 epochs of derive_replica_seed(19, r), picked
+    # through the per-event oracle: replica 34 overloads after 2 events,
+    # replica 1151 after 14, and the calm ones fill every other place
+    p, init = births_against_extinction()
+    w = _BATCH_SLOTS
+
+    def oracle(r):
+        try:
+            return step_events(p, FULL, None, init, 1.0, 200, derive_replica_seed(19, r), 0)[3], None
+        except StepSizeError as err:
+            epoch, events = map(int, re.search(r"^epoch (\d+) after (\d+) events$", str(err)).groups())
+            return events, epoch
+
+    (fast_events, fast_epoch), (slow_events, slow_epoch) = oracle(34), oracle(1151)
+    assert fast_events == 2 and slow_events == 14
+    calm = [(r, events) for r, (events, epoch) in ((r, oracle(r)) for r in range(700)) if epoch is None]
+    # more than half the first batch finishes within two events, so the
+    # first refill comes after round 1 at the latest and takes replica w + 5
+    assert sum(events <= 2 for _, events in calm[:w]) > w // 2
+
+    def named(placed: dict[int, int]) -> tuple[int, int]:
+        order = [placed.get(i, r) for i, (r, _) in enumerate(calm[: w + 10])]
+        seeds = np.array([derive_replica_seed(19, r) for r in order], dtype=np.uint64)
+        with pytest.raises(StepSizeError) as err:
+            _run_replicas(p, FULL, None, init, 1.0, 200, seeds)
+        return tuple(map(int, re.search(r"replica (\d+) at epoch (\d+) ", str(err.value)).groups()))
+
+    # the one overloaded replica is named by its ensemble index
+    assert named({w + 5: 34}) == (w + 5, fast_epoch)
+    assert named({3: 1151}) == (3, slow_epoch)
+    # replica 3 overloads in round 14; replica w + 5 joins by round 2 and
+    # overloads two rounds later, and the first overloaded round names it
+    assert named({3: 1151, w + 5: 34}) == (w + 5, fast_epoch)

@@ -133,6 +133,7 @@ def test_replica_seeds_match_derive_replica_seed(master, lo, hi):
 
 
 def test_ensemble_of_three_chunks_equals_its_replicas_byte_for_byte():
+    # 600 replicas, more than one batch of slots, so the stream refills
     p = single_group_params()
     n, seed = 600, 2024
     mc = monte_carlo_mean(p, small_init(), 0.05, 2.0, PAPER_LITERAL, n_replicas=n, seed=seed)
