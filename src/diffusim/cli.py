@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from pathlib import Path
@@ -204,6 +205,7 @@ class _SubcommandParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the ``diffusim`` command line."""
     parser = argparse.ArgumentParser(
         prog="diffusim",
         description="Simulate compartmental information diffusion in a grouped population.",
@@ -216,6 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(flag, **_FLAGS[flag])
         sub.set_defaults(run=run)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: argparse sizes a help formatter to the
+    # terminal for every add_argument, about 1 ms per build
+    return build_parser()
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -234,7 +243,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ConfigError, DomainError, NumericError) as exc:

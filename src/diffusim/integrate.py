@@ -8,7 +8,6 @@ rejected as numerically unsound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,29 +89,10 @@ def integrate(
     n_steps = int(np.floor(cfg.horizon / h + 1e-9))
     n_samples = n_steps // stride + 1
 
-    _, rk4 = _kernel(params, logistic)
+    _, march = _kernel(params, logistic)
     m = params.m
-    y = [*init.s.tolist(), *init.a.tolist(), *init.dd.tolist()]
     out = np.empty((n_samples, 3 * m))
-    out[0] = y
-    clamped = 0
-    sample_idx = 1
-    # one try for the whole loop: a logistic stage's DomainError is a step-size failure
-    try:
-        for j in range(1, n_steps + 1):
-            y = rk4(y, h)
-            # every component is checked before the clamp, so a nan is never
-            # clamped to 0 (a finiteness check on sum(y) could overflow)
-            if not all(map(math.isfinite, y)):
-                raise NumericError(f"state became non-finite at t = {j * h:g}")
-            if min(y) < 0.0:
-                clamped += 1
-                y = [0.0 if v < 0.0 else v for v in y]
-            if j % stride == 0:
-                out[sample_idx] = y
-                sample_idx += 1
-    except DomainError as exc:
-        raise NumericError(f"{exc} at t = {j * h:g} (step {h:g}); decrease the step size") from exc
+    clamped = march(*init.s.tolist(), *init.a.tolist(), *init.dd.tolist(), h, n_steps, stride, out)
     if n_steps > 0 and clamped > _CLAMP_BUDGET * n_steps:
         raise NumericError(
             f"negativity clamp hit on {clamped}/{n_steps} steps "

@@ -184,8 +184,8 @@ def ode_rhs(params: ModelParams, state: ContinuousState) -> tuple[np.ndarray, np
     Summed over states, each group obeys the balance
     s' + a' + dd' = b_i - d_i (s + a + dd).
 
-    Each call binds the kernel afresh, 7-8 us on table2 against under 1 us
-    for the flow itself, so a stepping loop should call ``integrate``.
+    Each call binds the kernel afresh, about 6 us on table2 against under
+    1 us for the flow itself, so a stepping loop should call ``integrate``.
 
     Returns:
         Tuple (ds, da, ddd) of length-m arrays.
@@ -211,15 +211,28 @@ def _population_error(n: float) -> DomainError:
 
 @functools.lru_cache
 def _kernel_code(m: int, logistic: bool) -> CodeType:
-    """The compiled flow and RK4 step for m groups, as one module.
+    """The compiled flow and RK4 march for m groups, as one module.
 
-    Running it defines ``flow(y0, ..., y_{3m-1})``, straight-line scalar
-    arithmetic that returns the derivative of the flat state s + a + dd
-    as a list, and ``make_step(flow)``, which returns ``step(y, h)``: one
-    classic RK4 step of size h from y. The source holds only identifiers
-    and integer indices, so no input text reaches ``exec``; every rate is
-    a global name (``eps_0``, ``d_rho_1``, ...) that the module unpacks
-    from the per-rate lists of floats :func:`_kernel` binds per call.
+    Running it defines two functions of the flat state s + a + dd:
+
+    - ``flow(y0, ..., y_{3m-1})``, straight-line scalar arithmetic that
+      returns the derivative as a list;
+    - ``march(y0, ..., y_{3m-1}, h, n_steps, stride, out)``, which runs
+      :func:`~diffusim.integrate.integrate`'s whole loop: ``n_steps``
+      classic RK4 steps of size h, each followed by the finiteness check
+      and the negativity clamp, with the start in ``out[0]`` and every
+      ``stride``-th state in the next row. It returns the number of
+      clamped steps.
+
+    One helper writes the flow's arithmetic, once for ``flow`` and once
+    per RK4 stage inlined into ``march``, whose stages leave their
+    derivatives in locals (``p``, ``q``, ``r``, ``u``) and their arguments
+    in ``x``. ``march`` takes every rate as a keyword default, so its loop
+    reads them as locals; ``flow`` reads them as globals. The source holds
+    only identifiers and integer indices, so no input text reaches
+    ``exec``; every rate is a name (``eps_0``, ``d_rho_1``, ...) that the
+    module unpacks from the per-rate lists of floats :func:`_kernel` binds
+    per call.
 
     Each component is evaluated left to right as written in
     :func:`ode_rhs`, the activation term as ((alpha / N) (gamma . a))
@@ -228,21 +241,7 @@ def _kernel_code(m: int, logistic: bool) -> CodeType:
     nests no deeper as m grows.
     """
     ys = [f"y{k}" for k in range(3 * m)]
-    s, a, dd = ys[:m], ys[m : 2 * m], ys[2 * m :]
-    weighted = ", ".join(f"gamma_{i} * {a[i]}" for i in range(m))
-    if logistic:
-        head = [
-            f"n = sum(({', '.join(ys)},))",
-            "if not 0.0 <= n < inf:",
-            "    raise population_error(n)",
-            "b = growth * n / m",
-            "d = growth * n / capacity",
-            # an empty population has no activation anyway; keep the denominator valid
-            f"w = alpha / (n if n > 0 else n_ref) * sum(({weighted},))",
-        ]
-    else:
-        head = [f"w = scale * sum(({weighted},))"]
-    head += [f"act{i} = w * eps_{i} * {s[i]}" for i in range(m)]
+    xs = [f"x{k}" for k in range(3 * m)]
 
     def birth(i: int) -> str:
         return "b" if logistic else f"b_{i}"
@@ -251,46 +250,92 @@ def _kernel_code(m: int, logistic: bool) -> CodeType:
         # d plus a rate: the live d under logistic coupling, else folded in by _kernel
         return f"(d + {rate}_{i})" if logistic else f"d_{rate}_{i}"
 
-    out = (
-        [f"{birth(i)} - act{i} - {loss('rho', i)} * {s[i]} + delta_{i} * {dd[i]}" for i in range(m)]
-        + [f"act{i} - {loss('phi', i)} * {a[i]}" for i in range(m)]
-        + [f"phi_{i} * {a[i]} + rho_{i} * {s[i]} - {loss('delta', i)} * {dd[i]}" for i in range(m)]
-    )
+    def field(v: list[str]) -> tuple[list[str], list[str]]:
+        """The lines that set the flow's locals at state v, and its 3m components."""
+        s, a, dd = v[:m], v[m : 2 * m], v[2 * m :]
+        weighted = ", ".join(f"gamma_{i} * {a[i]}" for i in range(m))
+        if logistic:
+            head = [
+                f"n = sum(({', '.join(v)},))",
+                "if not 0.0 <= n < inf:",
+                "    raise population_error(n)",
+                "b = growth * n / m",
+                "d = growth * n / capacity",
+                # an empty population has no activation anyway; keep the denominator valid
+                f"w = alpha / (n if n > 0 else n_ref) * sum(({weighted},))",
+            ]
+        else:
+            head = [f"w = scale * sum(({weighted},))"]
+        head += [f"act{i} = w * eps_{i} * {s[i]}" for i in range(m)]
+        out = (
+            [f"{birth(i)} - act{i} - {loss('rho', i)} * {s[i]} + delta_{i} * {dd[i]}" for i in range(m)]
+            + [f"act{i} - {loss('phi', i)} * {a[i]}" for i in range(m)]
+            + [f"phi_{i} * {a[i]} + rho_{i} * {s[i]} - {loss('delta', i)} * {dd[i]}" for i in range(m)]
+        )
+        return head, out
 
-    def names(k: str) -> str:
-        return ", ".join(f"{k}{j}" for j in range(3 * m))
+    def stage(v: list[str], k: str) -> list[str]:
+        head, out = field(v)
+        return head + [f"{k}{j} = {e}" for j, e in enumerate(out)]
 
-    def stage(h: str, k: str) -> str:
-        return f"flow({', '.join(f'{y} + {h} * {k}{j}' for j, y in enumerate(ys))})"
+    def shift(h: str, k: str) -> list[str]:
+        return [f"{x} = {y} + {h} * {k}{j}" for j, (x, y) in enumerate(zip(xs, ys))]
 
-    rk4 = ", ".join(f"{y} + h6 * (p{j} + 2.0 * q{j} + 2.0 * r{j} + u{j})" for j, y in enumerate(ys))
     rates = ["gamma", "eps", "rho", "delta", "phi"]
-    if not logistic:
+    if logistic:
+        consts = ["alpha", "n_ref", "m", "growth", "capacity"]
+    else:
         rates += ["b", "d_rho", "d_phi", "d_delta"]
+        consts = ["scale"]
+    # march binds these as keyword defaults, so its loop reads them as locals
+    bound = [f"{k}_{i}" for k in rates for i in range(m)] + consts + ["inf", "sum"]
+    head, out = field(ys)
+    state = f"({', '.join(ys)},)"
+    body = [
+        *stage(ys, "p"),
+        *shift("hh", "p"),
+        *stage(xs, "q"),
+        *shift("hh", "q"),
+        *stage(xs, "r"),
+        *shift("h", "r"),
+        *stage(xs, "u"),
+        *(f"{y} = {y} + h6 * (p{j} + 2.0 * q{j} + 2.0 * r{j} + u{j})" for j, y in enumerate(ys)),
+        # one comparison per component on the common path; a nan fails it too
+        f"if not ({' and '.join(f'0.0 <= {y} < inf' for y in ys)}):",
+        # every component is checked before the clamp, so a nan is never clamped to 0
+        f"    if not ({' and '.join(f'-inf < {y} < inf' for y in ys)}):",
+        '        raise NumericError(f"state became non-finite at t = {j * h:g}")',
+        "    clamped += 1",
+        *(line for y in ys for line in (f"    if {y} < 0.0:", f"        {y} = 0.0")),
+        "if j % stride == 0:",
+        "    row += 1",
+        f"    out[row] = {state}",
+    ]
     lines = [
         # each rate arrives as a list of m floats and is unpacked into m globals
         *(f"{', '.join(f'{k}_{i}' for i in range(m))}, = {k}" for k in rates),
         f"def flow({', '.join(ys)}):",
         *(f"    {line}" for line in head),
         f"    return [{', '.join(out)}]",
-        "def make_step(flow):",
-        "    def step(y, h):",
-        f"        {', '.join(ys)} = y",
-        f"        {names('p')} = flow(*y)",
-        "        hh = 0.5 * h",
-        f"        {names('q')} = {stage('hh', 'p')}",
-        f"        {names('r')} = {stage('hh', 'q')}",
-        f"        {names('u')} = {stage('h', 'r')}",
-        "        h6 = h / 6.0",
-        f"        return [{rk4}]",
-        "    return step",
+        f"def march({', '.join(ys)}, h, n_steps, stride, out, *, {', '.join(f'{k}={k}' for k in bound)}):",
+        "    hh = 0.5 * h",
+        "    h6 = h / 6.0",
+        "    clamped = row = 0",
+        f"    out[0] = {state}",
+        # one try for the whole loop: a logistic stage's DomainError is a step-size failure
+        "    try:",
+        "        for j in range(1, n_steps + 1):",
+        *(f"            {line}" for line in body),
+        "    except DomainError as exc:",
+        '        raise NumericError(f"{exc} at t = {j * h:g} (step {h:g}); decrease the step size") from exc',
+        "    return clamped",
     ]
     coupling = "logistic" if logistic else "constant"
     return compile("\n".join(lines), f"<diffusim mean-field kernel, m={m}, {coupling}>", "exec")
 
 
 def _kernel(params: ModelParams, logistic=None) -> tuple[Callable, Callable]:
-    """``(flow, step)`` of :func:`_kernel_code`, with the rates bound as floats.
+    """``(flow, march)`` of :func:`_kernel_code`, with the rates bound as floats.
 
     For the few groups the model is used with, scalar code is several
     times cheaper than numpy calls on length-m arrays. With ``logistic``
@@ -298,27 +343,25 @@ def _kernel(params: ModelParams, logistic=None) -> tuple[Callable, Callable]:
     r N / m per group, the death rate r N / K and the activation
     denominator N follow the live population N = sum(y), as
     :mod:`diffusim.logistic` states; a negative or non-finite N raises
-    DomainError. Nothing else is validated.
+    DomainError from ``flow`` and, with the time and step named,
+    NumericError from ``march``. Nothing else is validated.
     """
     coupled = logistic is not None and logistic.enabled
     rates = {"gamma": params.gamma, "eps": params.eps, "rho": params.rho,
              "delta": params.delta, "phi": params.phi}
+    ns = {"inf": math.inf, "DomainError": DomainError, "NumericError": NumericError}
     if coupled:
-        ns = {
-            "alpha": params.alpha, "n_ref": params.n_total, "m": params.m, "inf": math.inf,
-            "growth": logistic.growth_rate, "capacity": logistic.capacity,
-            "population_error": _population_error,
-        }
+        ns.update(alpha=params.alpha, n_ref=params.n_total, m=params.m, growth=logistic.growth_rate,
+                  capacity=logistic.capacity, population_error=_population_error)
     else:
         # the constant flow adds d to the other rates once, here, not per stage
         rates.update(b=params.b, d_rho=params.d + params.rho, d_phi=params.d + params.phi,
                      d_delta=params.d + params.delta)
-        ns = {"scale": params.alpha / params.n_total}
+        ns["scale"] = params.alpha / params.n_total
     ns.update((k, arr.tolist()) for k, arr in rates.items())
     exec(_kernel_code(params.m, coupled), ns)
     # popped, so that the namespace, which is their globals, holds no reference to them
-    flow = ns.pop("flow")
-    return flow, ns.pop("make_step")(flow)
+    return ns.pop("flow"), ns.pop("march")
 
 
 def disease_free_equilibrium(params: ModelParams) -> EquilibriumPoint:

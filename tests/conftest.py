@@ -155,19 +155,22 @@ def march_equilibrium(
     """
     _check_seed_state(params, seed_state)
     m = params.m
-    flow, rk4 = _kernel(params)
+    flow, march = _kernel(params)
     y = [*seed_state.s.tolist(), *seed_state.a.tolist(), *seed_state.dd.tolist()]
+    out = np.empty((2, 3 * m))
     n_steps = int(math.floor(horizon / step + 1e-9))
     for j in range(1, n_steps + 1):
         k1 = flow(*y)
         # max() can pass over a nan, so a converged residual must also be finite
         if max(map(abs, k1)) < tol and all(map(math.isfinite, k1)):
             break
-        y = rk4(y, step)
-        # checked before the clamp, as in integrate: the clamp would turn -inf into 0
-        if not all(map(math.isfinite, y)):
-            raise NumericError(f"state became non-finite at t = {j * step:g}")
-        y = [0.0 if v < 0.0 else v for v in y]
+        # one step of integrate's march: its finiteness check comes before
+        # the clamp, which would turn -inf into 0
+        try:
+            march(*y, step, 1, 1, out)
+        except NumericError:
+            raise NumericError(f"state became non-finite at t = {j * step:g}") from None
+        y = out[1].tolist()
     else:
         last = ContinuousState(t=n_steps * step, s=y[:m], a=y[m : 2 * m], dd=y[2 * m :])
         residual = float(np.max(np.abs(flow(*y))))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import diffusim
+from diffusim import cli
 from diffusim.cli import main
 from diffusim.config import bundled_config
 
@@ -290,6 +291,35 @@ def test_an_overflowing_calibrated_alpha_exits_3_naming_the_overflow(tmp_path):
 
 
 # ----------------------------------------------------------- reproducibility
+
+
+def test_the_cached_parser_writes_the_bytes_of_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # one process runs a CSV, a usage error, a numeric failure and another
+    # CSV on the parser main keeps, then each on a parser built for it alone
+    bad = write_cfg(tmp_path, bundled_config() + "mode = full\ntarget_r0 = 4.9\nstep = 0.1\n"
+                    "logistic.enabled = true\nlogistic.capacity = 150\n", "bad.cfg")
+
+    def session(tag):
+        codes = []
+        for argv in (["run-ode", "--config", "table2", "--out", str(tmp_path / f"{tag}-ode.csv")],
+                     ["run-ode", "--config", "table2", "--seed", "1"],
+                     ["run-ode", "--config", bad, "--out", str(tmp_path / f"{tag}-bad.csv")],
+                     ["logistic-sweep", "--config", "table2", "--k-grid", "60,100",
+                      "--out", str(tmp_path / f"{tag}-sweep.csv")]):
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+        files = [(tmp_path / f"{tag}-{name}.csv").read_bytes() for name in ("ode", "sweep")]
+        return codes, capsys.readouterr().err, files
+
+    assert cli._parser() is cli._parser()
+    cached = session("cached")
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert session("fresh") == cached
+    assert cached[0] == [0, 2, 3, 0]
+    assert "diffusim run-ode: error: unrecognized arguments: --seed 1\n" in cached[1]
+    assert not (tmp_path / "cached-bad.csv").exists()
 
 
 def test_identical_invocations_write_identical_bytes(tmp_path, capsys):

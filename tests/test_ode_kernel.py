@@ -7,10 +7,11 @@ and sampling loop. ``integrate``, ``ode_rhs`` and the endemic march
 (``conftest.march_equilibrium``) must agree with it to rounding.
 
 The second oracle is the scalar list kernel that the generated one
-replaced, kept verbatim (``_flow`` and ``_rk4_step``). It performs the
-same operations in the same order, so the generated ``flow`` and ``step``
-must match it bit for bit, signed zeros included, and so must every
-``integrate`` and endemic-march result.
+replaced, kept verbatim (``_flow`` and ``_rk4_step``), with the loop
+``integrate`` ran on it (``list_march``). It performs the same operations
+in the same order, so the generated ``flow`` and ``march`` must match it
+bit for bit, signed zeros, clamp counts and error messages included, and
+so must every ``integrate`` and endemic-march result.
 """
 
 import gc
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 import pytest
 from conftest import effective_params_for_total, fast_params, march_equilibrium, two_group_params
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffusim import (
@@ -35,7 +36,8 @@ from diffusim import (
     integrate,
     ode_rhs,
 )
-from diffusim.errors import DomainError
+from diffusim.errors import DomainError, NumericError
+from diffusim.integrate import _CLAMP_BUDGET
 from diffusim.model import _kernel, _population_error
 
 # ------------------------------------------------------------------- oracle
@@ -128,6 +130,37 @@ def scenarios(draw):
         logistic = LogisticConfig(enabled=True, growth_rate=draw(st.floats(0.0, 1.0)),
                                   capacity=draw(st.floats(10.0, 300.0)))
     return params, init, logistic
+
+
+@st.composite
+def marches(draw):
+    """A scenario, integration settings and coupling for ``integrate``, drawn
+    wide enough that some runs clamp, overflow or meet a negative logistic
+    stage population."""
+    m = draw(st.sampled_from([1, 2, 3, 5, 8]))
+
+    def vec(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=m, max_size=m)))
+
+    params = ModelParams(
+        m=m,
+        n_total=draw(st.floats(1.0, 500.0)),
+        alpha=draw(st.floats(0.0, 60.0)),
+        b=vec(0.0, 2.0), d=vec(0.0, 0.5), rho=vec(0.0, 1.0), delta=vec(0.0, 1.0),
+        phi=vec(0.0, 1.0), eps=vec(0.0, 1.0), gamma=vec(0.0, 1.0),
+    )
+    # a state this large overflows a product within a step or two
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1e155]))
+    init = ContinuousState(t=0.0, s=scale * vec(0.0, 60.0), a=scale * vec(0.0, 20.0), dd=scale * vec(0.0, 20.0))
+    logistic = None
+    if draw(st.booleans()):
+        logistic = LogisticConfig(enabled=True, growth_rate=draw(st.floats(0.0, 5.0)),
+                                  capacity=draw(st.floats(1.0, 300.0)))
+    step = draw(st.sampled_from([0.01, 0.05, 0.25, 0.5, 1.0, 2.0]))
+    stride = draw(st.integers(1, 5))
+    n_steps = draw(st.sampled_from([1, 3, 12, 40, 1200]))
+    cfg = IntegrationConfig(step=step, sample_every=stride * step, horizon=max(n_steps, stride) * step)
+    return params, init, cfg, logistic
 
 
 # -------------------------------------------------------------------- tests
@@ -287,22 +320,35 @@ def _rk4_step(
     return [yi + h6 * (p + 2.0 * q + 2.0 * r + u) for yi, p, q, r, u in zip(y, k1, k2, k3, k4)]
 
 
+def list_march(f, y: list[float], h: float, n_steps: int, stride: int) -> tuple[list[list[float]], int]:
+    """``integrate``'s loop on the list kernel, as it ran before the generated
+    march: the start and every ``stride``-th state, and the clamp count."""
+    rows, clamped = [y], 0
+    # one try for the whole loop: a logistic stage's DomainError is a step-size failure
+    try:
+        for j in range(1, n_steps + 1):
+            y = _rk4_step(f, y, h)
+            # every component is checked before the clamp, so a nan is never
+            # clamped to 0 (a finiteness check on sum(y) could overflow)
+            if not all(map(math.isfinite, y)):
+                raise NumericError(f"state became non-finite at t = {j * h:g}")
+            if min(y) < 0.0:
+                clamped += 1
+                y = [0.0 if v < 0.0 else v for v in y]
+            if j % stride == 0:
+                rows.append(y)
+    except DomainError as exc:
+        raise NumericError(f"{exc} at t = {j * h:g} (step {h:g}); decrease the step size") from exc
+    return rows, clamped
+
+
 def list_integrate(params, init, cfg, logistic=None, n_steps=None):
     """``integrate``'s march on the list kernel: sampled rows and the clamp count."""
-    f = _flow(params, logistic)
     stride = int(round(cfg.sample_every / cfg.step))
     if n_steps is None:
         n_steps = int(math.floor(cfg.horizon / cfg.step + 1e-9))
     y = [*init.s.tolist(), *init.a.tolist(), *init.dd.tolist()]
-    rows, clamped = [y], 0
-    for j in range(1, n_steps + 1):
-        y = _rk4_step(f, y, cfg.step)
-        assert all(map(math.isfinite, y))
-        if min(y) < 0.0:
-            clamped += 1
-            y = [0.0 if v < 0.0 else v for v in y]
-        if j % stride == 0:
-            rows.append(y)
+    rows, clamped = list_march(_flow(params, logistic), y, cfg.step, n_steps, stride)
     return np.array(rows), clamped
 
 
@@ -318,12 +364,28 @@ def list_endemic(params, seed_state, tol=1e-9, step=0.05, horizon=2e4):
     raise AssertionError("list march did not converge")
 
 
-def hexes(call) -> list[str] | str:
-    """The float.hex of each value ``call()`` returns, or its DomainError."""
+def hexed(value):
+    """``value`` with every float replaced by its float.hex, through lists and tuples."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [hexed(v) for v in value]
+    return value
+
+
+def hexes(call):
+    """``hexed(call())``, or the class and message of its error."""
     try:
-        return [v.hex() for v in call()]
-    except DomainError as exc:
-        return f"DomainError: {exc}"
+        return hexed(call())
+    except (DomainError, NumericError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def generated_march(march, y: list[float], h: float, n_steps: int, stride: int) -> tuple[list[list[float]], int]:
+    """``march`` from y, in ``list_march``'s terms: the rows it wrote and the clamp count."""
+    out = np.empty((n_steps // stride + 1, len(y)))
+    clamped = march(*y, h, n_steps, stride, out)
+    return out.tolist(), clamped
 
 
 def seeded(params: ModelParams, r0: float, fraction: float) -> tuple[ModelParams, ContinuousState]:
@@ -338,14 +400,54 @@ def seeded(params: ModelParams, r0: float, fraction: float) -> tuple[ModelParams
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(scenario=scenarios(), data=st.data())
 def test_generated_flow_and_step_match_the_list_kernel_bit_for_bit(scenario, data):
+    # one step of march against _rk4_step and the list loop's check and clamp
     params, _, logistic = scenario
     value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10.0, 100.0))
     y = data.draw(st.lists(value, min_size=3 * params.m, max_size=3 * params.m))
     h = data.draw(st.floats(0.0, 2.0))
     f = _flow(params, logistic)
-    flow, step = _kernel(params, logistic)
+    flow, march = _kernel(params, logistic)
     assert hexes(lambda: flow(*y)) == hexes(lambda: f(y))
-    assert hexes(lambda: step(y, h)) == hexes(lambda: _rk4_step(f, y, h))
+    assert hexes(lambda: generated_march(march, y, h, 1, 1)) == hexes(lambda: list_march(f, y, h, 1, 1))
+
+
+def integrate_outcome(params, init, cfg, logistic):
+    traj = integrate(params, init, cfg, logistic=logistic)
+    return flat(traj).tolist(), traj.clamped_steps
+
+
+def list_outcome(params, init, cfg, logistic):
+    """``integrate`` on the list kernel, its clamp budget included."""
+    rows, clamped = list_integrate(params, init, cfg, logistic)
+    n_steps = int(math.floor(cfg.horizon / cfg.step + 1e-9))
+    if n_steps > 0 and clamped > _CLAMP_BUDGET * n_steps:
+        raise NumericError(f"negativity clamp hit on {clamped}/{n_steps} steps "
+                           f"(> {_CLAMP_BUDGET:.1%}); decrease the step size")
+    return rows.tolist(), clamped
+
+
+def _table2_clamping_once():
+    # table2 at R0 4.9 with a step of 1: one step in 2,000 needs the clamp, within budget
+    p, init = seeded(two_group_params(), 4.9, 0.01)
+    cfg = IntegrationConfig(step=1.0, horizon=2000.0, sample_every=5.0)
+    return p, init, cfg, LogisticConfig(enabled=True, growth_rate=0.05, capacity=150.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(run=marches())
+@example(run=_table2_clamping_once())
+def test_integrate_equals_the_list_kernel_bit_for_bit(run):
+    # rows, clamp count, or error class and message; then the march alone,
+    # so that the rows of a run over the clamp budget are compared too
+    params, init, cfg, logistic = run
+    assert hexes(lambda: integrate_outcome(*run)) == hexes(lambda: list_outcome(*run))
+    y = [*init.s.tolist(), *init.a.tolist(), *init.dd.tolist()]
+    n_steps = int(math.floor(cfg.horizon / cfg.step + 1e-9))
+    stride = int(round(cfg.sample_every / cfg.step))
+    _, march = _kernel(params, logistic)
+    f = _flow(params, logistic)
+    assert (hexes(lambda: generated_march(march, y, cfg.step, n_steps, stride))
+            == hexes(lambda: list_march(f, y, cfg.step, n_steps, stride)))
 
 
 @pytest.mark.parametrize("r0", [0.9, 2.3])
@@ -395,9 +497,9 @@ def test_kernel_functions_die_with_their_last_reference(coupled):
     gc.collect()
     gc.disable()
     try:
-        flow, step = _kernel(two_group_params(), logistic)
-        refs = weakref.ref(flow), weakref.ref(step)
-        del flow, step
+        flow, march = _kernel(two_group_params(), logistic)
+        refs = weakref.ref(flow), weakref.ref(march)
+        del flow, march
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
