@@ -34,7 +34,7 @@ from .errors import (
     NumericError,
     StepSizeError,
 )
-from .integrate import IntegrationConfig, extinction_time_deterministic, integrate
+from .integrate import IntegrationConfig, integrate
 from .logistic import LogisticConfig
 from .model import (
     ContinuousState,
@@ -84,7 +84,6 @@ __all__ = [
     "endemic_equilibrium",
     "event_probabilities",
     "exact_propagation",
-    "extinction_time_deterministic",
     "extinction_time_stochastic",
     "format_value",
     "integrate",

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, load_config
-from .dtmc import max_stable_dt, monte_carlo_mean, extinction_time_stochastic
+from .dtmc import _mode_rates, max_stable_dt, monte_carlo_mean, extinction_time_stochastic
 from .errors import ConfigError, DomainError, NumericError
 from .integrate import integrate
 from .model import ModelParams
@@ -57,11 +57,22 @@ _CHAIN_FLAGS = ("--out", "--horizon", "--seed", "--replicas", "--dt")
 _OVERRIDES = {"out": "out", "seed": "seed", "replicas": "n_replicas", "dt": "dt", "target_r0": "target_r0"}
 
 
-def _resolved_params(cfg: ScenarioConfig) -> ModelParams:
-    """Config params, with alpha calibrated when target_r0 is set."""
-    if cfg.target_r0 is None:
-        return cfg.params
-    return cfg.params.with_alpha(calibrate_alpha(cfg.params, cfg.target_r0))
+def _totals(cfg: ScenarioConfig) -> np.ndarray:
+    """The initial group totals s0 + a0 + d0, which conserved groups keep."""
+    return cfg.s0 + cfg.a0 + cfg.d0
+
+
+def _resolved_params(cfg: ScenarioConfig, target_r0: float | None = None) -> ModelParams:
+    """The full model's params for the config's mode, as the chain runs them.
+
+    alpha is calibrated to ``target_r0``, else to the config's target_r0
+    when that is set.
+    """
+    params = dataclasses.replace(cfg.params, **_mode_rates(cfg.params, cfg.mode))
+    target = cfg.target_r0 if target_r0 is None else target_r0
+    if target is None:
+        return params
+    return params.with_alpha(calibrate_alpha(params, target, totals=_totals(cfg)))
 
 
 def _chain_dt(params: ModelParams, cfg: ScenarioConfig) -> float:
@@ -92,7 +103,7 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 def _cmd_r0(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
     params = _resolved_params(cfg)
-    dec = build_decomposition(params)
+    dec = build_decomposition(params, totals=_totals(cfg))
     lines = [f"alpha = {format_value(params.alpha)}", f"R0 = {format_value(dec.r0)}"]
     for label, mat in (("F", dec.f), ("V", dec.v), ("K", dec.k)):
         lines.append(f"{label} =")
@@ -103,12 +114,11 @@ def _cmd_r0(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
 def _cmd_calibrate(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
     if cfg.target_r0 is None:
         raise ConfigError("calibrate needs --target-r0 or a target_r0 config entry")
-    alpha = calibrate_alpha(cfg.params, cfg.target_r0)
-    check = r0_rank_one(cfg.params.with_alpha(alpha))
+    params = _resolved_params(cfg)
     return [
         f"target_r0 = {format_value(cfg.target_r0)}",
-        f"alpha = {format_value(alpha)}",
-        f"achieved_r0 = {format_value(check)}",
+        f"alpha = {format_value(params.alpha)}",
+        f"achieved_r0 = {format_value(r0_rank_one(params, totals=_totals(cfg)))}",
     ]
 
 
@@ -148,8 +158,7 @@ def _cmd_compare(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
 def _cmd_extinction_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
     lines = ["r0,alpha,mean_extinction_time,sd_extinction_time,n_extinct,n_censored"]
     for target in args.r0_grid:
-        alpha = calibrate_alpha(cfg.params, target)
-        params = cfg.params.with_alpha(alpha)
+        params = _resolved_params(cfg, target)
         summary = extinction_time_stochastic(
             params, cfg.discrete_init(), _chain_dt(params, cfg), cfg.integration.horizon, cfg.mode,
             n_replicas=cfg.n_replicas, seed=cfg.seed, logistic=cfg.logistic,
@@ -157,7 +166,7 @@ def _cmd_extinction_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> list
         mean = "" if summary.mean is None else format_value(summary.mean)
         sd = "" if summary.spread is None else format_value(summary.spread)
         lines.append(
-            f"{format_value(target)},{format_value(alpha)},{mean},{sd},"
+            f"{format_value(target)},{format_value(params.alpha)},{mean},{sd},"
             f"{cfg.n_replicas - summary.n_censored},{summary.n_censored}"
         )
     return lines
@@ -166,11 +175,7 @@ def _cmd_extinction_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> list
 def _cmd_logistic_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
     params = _resolved_params(cfg)
     m = params.m
-    groups = [str(i) for i in range(1, m + 1)]
-    header = ",".join(
-        ["k", "alpha"] + [f"peak_A_{g}" for g in groups] + [f"t_peak_{g}" for g in groups]
-    )
-    lines = [header]
+    lines = [",".join(["k", "alpha"] + [f"{col}_{i}" for col in ("peak_A", "t_peak") for i in range(1, m + 1)])]
     for capacity in args.k_grid:
         logistic = dataclasses.replace(cfg.logistic, enabled=True, capacity=capacity)
         traj = integrate(params, cfg.continuous_init(), cfg.integration, logistic=logistic)

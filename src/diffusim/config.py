@@ -41,9 +41,13 @@ from .dtmc import FULL, PAPER_LITERAL, DiscreteState
 from .errors import ConfigError, DomainError
 from .integrate import IntegrationConfig, _multiple_of
 from .logistic import LogisticConfig
-from .model import ContinuousState, ModelParams, _fields_equal, _state_array
+from .model import _RATES, ContinuousState, ModelParams, _fields_equal, _state_array
 
 __all__ = ["ScenarioConfig", "parse_config", "load_config", "render_config", "bundled_config"]
+
+# the initial-state and sampling keys, in file order
+_INIT = ("s0", "a0", "d0")
+_SAMPLING = ("step", "horizon", "sample_every")
 
 # key -> (kind, default, required); dict order is the canonical file order
 _REGISTRY: dict[str, tuple[str, object, bool]] = {
@@ -117,10 +121,8 @@ def _parse_value(key: str, kind: str, text: str, lineno: int):
                 raise ValueError("not finite")
             return np.array(parts)
         if kind == "bool":
-            if text == "true":
-                return True
-            if text == "false":
-                return False
+            if text in ("true", "false"):
+                return text == "true"
             raise ValueError("expected true or false")
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {text!r} ({exc})") from None
@@ -170,27 +172,9 @@ def parse_config(text: str) -> ScenarioConfig:
         return value
 
     try:
-        params = ModelParams(
-            m=m,
-            n_total=get("n_total"),
-            alpha=get("alpha"),
-            b=vec("b"),
-            d=vec("d"),
-            rho=vec("rho"),
-            delta=vec("delta"),
-            phi=vec("phi"),
-            eps=vec("eps"),
-            gamma=vec("gamma"),
-        )
-        s0 = _state_array("s0", vec("s0"), m)
-        a0 = _state_array("a0", vec("a0"), m)
-        d0 = _state_array("d0", vec("d0"), m)
-
-        integration = IntegrationConfig(
-            step=get("step"),
-            horizon=get("horizon"),
-            sample_every=get("sample_every"),
-        )
+        params = ModelParams(m=m, n_total=get("n_total"), alpha=get("alpha"), **{k: vec(k) for k in _RATES})
+        s0, a0, d0 = (_state_array(k, vec(k), m) for k in _INIT)
+        integration = IntegrationConfig(**{k: get(k) for k in _SAMPLING})
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -270,19 +254,9 @@ def render_config(config: ScenarioConfig) -> str:
         f"m = {p.m}",
         f"n_total = {_fmt(p.n_total)}",
         f"alpha = {_fmt(p.alpha)}",
-        f"b = {_fmt_vec(p.b)}",
-        f"d = {_fmt_vec(p.d)}",
-        f"rho = {_fmt_vec(p.rho)}",
-        f"delta = {_fmt_vec(p.delta)}",
-        f"phi = {_fmt_vec(p.phi)}",
-        f"eps = {_fmt_vec(p.eps)}",
-        f"gamma = {_fmt_vec(p.gamma)}",
-        f"s0 = {_fmt_vec(config.s0)}",
-        f"a0 = {_fmt_vec(config.a0)}",
-        f"d0 = {_fmt_vec(config.d0)}",
-        f"step = {_fmt(config.integration.step)}",
-        f"horizon = {_fmt(config.integration.horizon)}",
-        f"sample_every = {_fmt(config.integration.sample_every)}",
+        *(f"{k} = {_fmt_vec(getattr(p, k))}" for k in _RATES),
+        *(f"{k} = {_fmt_vec(getattr(config, k))}" for k in _INIT),
+        *(f"{k} = {_fmt(getattr(config.integration, k))}" for k in _SAMPLING),
     ]
     if config.dt is not None:
         lines.append(f"dt = {_fmt(config.dt)}")

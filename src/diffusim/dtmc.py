@@ -5,22 +5,20 @@ per epoch. Event kinds, their per-epoch probabilities (rate times dt)
 and the state updates:
 
     activate(i)    S_i -> A_i   sum_j lam_ij(a) * s_i
-    deactivate(i)  A_i -> D_i   (phi_i + d_i) * a_i   [paper_literal]
-                                phi_i * a_i           [full]
+    deactivate(i)  A_i -> D_i   phi_i * a_i
     return(i)      D_i -> S_i   delta_i * dd_i
-    withdraw(i)    S_i -> D_i   (d_i + rho_i) * s_i   [paper_literal]
-                                rho_i * s_i           [full]
-    death_s(i)     S_i -> gone  d_i * s_i             [full only]
-    death_a(i)     A_i -> gone  d_i * a_i             [full only]
-    death_d(i)     D_i -> gone  d_i * dd_i            [full only]
-    birth(i)       +1 in S_i    b_i                   [full only]
+    withdraw(i)    S_i -> D_i   rho_i * s_i
+    death_s(i)     S_i -> gone  d_i * s_i
+    death_a(i)     A_i -> gone  d_i * a_i
+    death_d(i)     D_i -> gone  d_i * dd_i
+    birth(i)       +1 in S_i    b_i
     no_event                    1 - sum of the above
 
-"paper_literal" keeps the population constant: births are disabled
-(b is ignored in this mode, which is only defined for b = 0) and deaths
-are folded into the deactivate/withdraw channels, both of which land in
-D. "full" carries births and deaths explicitly, so the population
-varies. The two modes generate identical chains when b = d = 0.
+Both modes run this one chain, and a mode only chooses its rates
+(``_mode_rates``). "full" takes the rates as given, so the population
+varies. "paper_literal" is the constant-population model: it has no
+births, and each death becomes a move to D, so it runs on b = d = 0,
+phi + d and rho + d. Its table lists the first four kinds only.
 
 Reproducibility contract, version 2 (v1 drew one PCG64 uniform per epoch):
 
@@ -29,7 +27,9 @@ Reproducibility contract, version 2 (v1 drew one PCG64 uniform per epoch):
   death_s(1..m), death_a(1..m), death_d(1..m), birth(1..m), and finally
   no_event. With q the running sums (``np.cumsum``) of the event
   probabilities in that order, T = q[last] is the summed event
-  probability of an epoch.
+  probability of an epoch. When b = d = 0 and the coupling is constant,
+  the death and birth entries are zeros at the end of the order, which
+  move neither T nor the selected event, so the engine leaves them out.
 * Replica r of an ensemble has the seed derive_replica_seed(seed, r): the
   SplitMix64 finalizer mix64 applied to (seed + (r + 1) * 0x9E3779B97F4A7C15)
   mod 2^64. Its uniforms are the same hash over a counter,
@@ -71,8 +71,10 @@ with them its path, have the same bits alone and in a batch of any width.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -164,12 +166,20 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"mode must be '{PAPER_LITERAL}' or '{FULL}', got {mode!r}")
 
 
+def _mode_rates(params: ModelParams, mode: str) -> dict[str, np.ndarray]:
+    """The full model's b, d, rho and phi that ``mode`` runs: the identity for
+    full; b = d = 0, phi + d and rho + d for paper_literal. Idempotent."""
+    _check_mode(mode)
+    if mode == FULL:
+        return {"b": params.b, "d": params.d, "rho": params.rho, "phi": params.phi}
+    zero = np.zeros(params.m)
+    return {"b": zero, "d": zero, "rho": params.rho + params.d, "phi": params.phi + params.d}
+
+
 def canonical_events(m: int, mode: str) -> tuple[Event, ...]:
     """All events in the documented selection order, no_event last."""
     _check_mode(mode)
-    kinds = ["activate", "deactivate", "return", "withdraw"]
-    if mode == FULL:
-        kinds += ["death_s", "death_a", "death_d", "birth"]
+    kinds = list(_EVENT_DELTAS)[: 8 if mode == FULL else 4]
     events = [Event(kind, i) for kind in kinds for i in range(1, m + 1)]
     events.append(Event("no_event", None))
     return tuple(events)
@@ -204,12 +214,9 @@ class DiscreteState:
     dd: np.ndarray
 
     def __post_init__(self):
-        s = _count_array("s", self.s)
-        a = _count_array("a", self.a, s.shape[0])
-        dd = _count_array("dd", self.dd, s.shape[0])
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "dd", dd)
+        object.__setattr__(self, "s", _count_array("s", self.s))
+        for name in ("a", "dd"):
+            object.__setattr__(self, name, _count_array(name, getattr(self, name), self.m))
 
     @property
     def m(self) -> int:
@@ -235,7 +242,7 @@ class TransitionTable:
         return self.probabilities[Event("no_event", None)]
 
 
-# (s, a, dd) increments of each event kind in its own group
+# (s, a, dd) increments of each event kind in its own group, in canonical order
 _EVENT_DELTAS = {
     "activate": (-1, 1, 0),
     "deactivate": (0, -1, 1),
@@ -248,46 +255,49 @@ _EVENT_DELTAS = {
 }
 
 
-def _delta_tables(m: int, mode: str) -> np.ndarray:
-    """Per-event increments to the (s, a, dd) rows of a state, one column per event."""
-    events = canonical_events(m, mode)
-    delta = np.zeros((3, m, len(events)), dtype=np.int64)
-    for col, ev in enumerate(events[:-1]):
-        delta[:, ev.group - 1, col] = _EVENT_DELTAS[ev.kind]
-    return delta.reshape(3 * m, len(events))
+@functools.lru_cache
+def _delta_tables(m: int, n_events: int) -> np.ndarray:
+    """Read-only increments to the (s, a, dd) rows of a state: one column for
+    each of the first ``n_events`` events in canonical order, then no_event's zeros."""
+    steps = np.array(list(_EVENT_DELTAS.values())[: n_events // m], dtype=np.int64).T
+    delta = np.zeros((3 * m, n_events + 1), dtype=np.int64)
+    delta[:, :-1] = np.kron(steps, np.eye(m, dtype=np.int64))
+    delta.setflags(write=False)
+    return delta
 
 
 class _Engine:
-    """Per-event probability tables for a batch of replicas, one column per replica."""
+    """Per-event probability tables for a batch of replicas, one column per replica.
+
+    The rates are those of :func:`_mode_rates`; the death and birth rows
+    are left out when b = d = 0 and the coupling is constant.
+    """
 
     def __init__(self, params: ModelParams, mode: str, dt: float, logistic: LogisticConfig | None):
-        _check_mode(mode)
+        rates = _mode_rates(params, mode)
         dt = float(dt)
         if not np.isfinite(dt) or dt <= 0:
             raise DomainError(f"dt must be positive and finite, got {dt!r}")
         if logistic is not None and not logistic.enabled:
             logistic = None
-        if logistic is not None and mode == PAPER_LITERAL:
-            raise DomainError("logistic coupling needs full mode; paper_literal holds N constant")
-        self.mode = mode
         self.dt = dt
         self.logistic = logistic
         m = params.m
         self.m = m
-        self.n_events = 8 * m if mode == FULL else 4 * m
-        self.delta = _delta_tables(m, mode)
+        b, d = rates["b"], rates["d"]
+        self.n_events = 8 * m if logistic is not None or b.any() or d.any() else 4 * m
+        self.delta = _delta_tables(m, self.n_events)
         self.gamma = params.gamma[:, None]
         # activation: prob = alpha*eps_i*(gamma . a)/den * s_i * dt, with
-        # den = n_total (constant modes) or the replica population (logistic)
+        # den = n_total (constant coupling) or the replica population (logistic)
         self.act_num = (params.alpha * dt * params.eps)[:, None]
         self.act_const = self.act_num / params.n_total
-        folded = params.d if mode == PAPER_LITERAL else 0.0  # paper_literal's deaths land in D
-        self.c_withd = ((params.rho + folded) * dt)[:, None]
+        self.c_withd = (rates["rho"] * dt)[:, None]
         # deactivate and return rows line up with the (a, dd) rows of the
         # state, the death rows with all of them, so each is one multiply
-        self.c_mid = np.concatenate([(params.phi + folded) * dt, params.delta * dt])[:, None]
-        self.c_death3 = (np.concatenate([params.d, params.d, params.d]) * dt)[:, None]
-        self.c_birth = params.b * dt
+        self.c_mid = np.concatenate([rates["phi"] * dt, params.delta * dt])[:, None]
+        self.c_death3 = (np.concatenate([d, d, d]) * dt)[:, None]
+        self.c_birth = b * dt
 
     def make_buffers(self, r: int) -> np.ndarray:
         """Probability buffer, one row per event, for an r-replica batch.
@@ -296,7 +306,7 @@ class _Engine:
         here once; fill_probabilities never touches them.
         """
         p = np.zeros((self.n_events, r))
-        if self.mode == FULL and self.logistic is None:
+        if self.n_events > 4 * self.m and self.logistic is None:
             p[7 * self.m :] = self.c_birth[:, None]
         return p
 
@@ -324,7 +334,7 @@ class _Engine:
         p[:m] *= scale
         np.multiply(state[m:], self.c_mid, out=p[m : 3 * m])
         np.multiply(s, self.c_withd, out=p[3 * m : 4 * m])
-        if self.mode == FULL:
+        if self.n_events > 4 * m:
             np.multiply(state, death, out=p[4 * m : 7 * m])
 
     def probabilities(self, state: np.ndarray) -> np.ndarray:
@@ -360,7 +370,9 @@ def event_probabilities(params: ModelParams, state: DiscreteState, dt: float, mo
     if total > 1.0:
         raise StepSizeError(f"summed event probability {total:.6g} > 1; decrease dt")
     events = canonical_events(params.m, mode)
-    probs = {ev: float(p) for ev, p in zip(events[:-1], row)}
+    # full mode's death and birth entries are zeros where the engine leaves them out
+    probs = dict.fromkeys(events[:-1], 0.0)
+    probs.update(zip(events, row.tolist()))
     probs[events[-1]] = 1.0 - total
     return TransitionTable(probabilities=probs, dt=float(dt))
 
@@ -373,9 +385,10 @@ def max_stable_dt(params: ModelParams, n: float, *, logistic: LogisticConfig | N
     """Largest epoch length guaranteed valid for compartment counts up to n.
 
     Bounds the total event rate by maximizing every channel independently
-    with all compartment counts at ``n`` (full-mode channels included, so
-    the bound covers both modes) and returns 0.9 divided by the bound.
-    With every rate zero the bound is vacuous and ``math.inf`` is returned.
+    with all compartment counts at ``n`` (paper_literal's folded channels
+    included, so the bound covers both modes on ``params``' rates) and
+    returns 0.9 divided by the bound. With every rate zero the bound is
+    vacuous and ``math.inf`` is returned.
 
     With ``logistic`` enabled, birth and death rates scale with the live
     population, so the bound instead covers every population up to
@@ -383,6 +396,9 @@ def max_stable_dt(params: ModelParams, n: float, *, logistic: LogisticConfig | N
     needs headroom above it): each channel's per-capita rate is maximized
     over the groups, activation by alpha max(eps) max(gamma), and the
     logistic births and deaths contribute r (1 + P / K) per head.
+
+    Raises NumericError, naming the bound, when 0.9 divided by it is not
+    a positive normal float, as when the bound overflows.
     """
     n = float(n)
     if not np.isfinite(n) or n < 1:
@@ -407,7 +423,11 @@ def max_stable_dt(params: ModelParams, n: float, *, logistic: LogisticConfig | N
         r_max = r_act + r_lin
     if r_max == 0.0:
         return math.inf
-    return _STABILITY_SAFETY / r_max
+    dt = _STABILITY_SAFETY / r_max
+    if not dt >= sys.float_info.min:  # 0.0, subnormal, or nan
+        raise NumericError(f"total event rate bound {r_max!r} is too large for a stable epoch "
+                           f"length: 0.9 / bound = {dt!r}")
+    return dt
 
 
 @dataclass
@@ -589,6 +609,7 @@ def _chain_setup(
     dt: float,
     horizon: float = 0.0,
     sample_every: float | None = None,
+    logistic: LogisticConfig | None = None,
 ) -> tuple[int, int]:
     """Validate a chain driver's inputs; return (epochs, epochs per sample)."""
     _check_mode(mode)
@@ -606,9 +627,10 @@ def _chain_setup(
     if not np.isfinite(horizon) or horizon < 0:
         raise DomainError(f"horizon must be nonnegative and finite, got {horizon!r}")
     n_epochs = int(np.floor(horizon / dt + 1e-9))
-    if sample_every is None:
-        return n_epochs, 1
-    return n_epochs, _multiple_of(float(sample_every), dt, "sample_every/dt")
+    stride = 1 if sample_every is None else _multiple_of(float(sample_every), dt, "sample_every/dt")
+    if logistic is not None and logistic.enabled and mode == PAPER_LITERAL:
+        raise DomainError("logistic coupling needs full mode; paper_literal holds N constant")
+    return n_epochs, stride
 
 
 def _check_seed(seed: int) -> int:
@@ -642,13 +664,11 @@ def simulate_replica(
     ``seed=derive_replica_seed(s, r)``.
     """
     seed = _check_seed(seed)
-    n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every)
+    n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every, logistic)
     # the int64 moments are freed here, before the table is built
     tr = _run_replicas(params, mode, logistic, init, dt, n_epochs, [seed], stride=stride).sums.astype(float)
-    m = params.m
-    n_samples = tr.shape[0]
-    times = np.arange(n_samples) * (stride * dt)
-    return TrajectoryTable(times=times, s=tr[:, :m], a=tr[:, m : 2 * m], dd=tr[:, 2 * m :])
+    s, a, dd = np.split(tr, 3, axis=1)
+    return TrajectoryTable(times=np.arange(tr.shape[0]) * (stride * dt), s=s, a=a, dd=dd)
 
 
 def monte_carlo_mean(
@@ -673,7 +693,7 @@ def monte_carlo_mean(
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
     seed = _check_seed(seed)
-    n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every)
+    n_epochs, stride = _chain_setup(params, init, mode, dt, horizon, sample_every, logistic)
     res = _run_replicas(params, mode, logistic, init, dt, n_epochs, _ReplicaSeeds(seed, n_replicas), stride=stride)
     n = float(n_replicas)
     mean = res.sums / n
@@ -682,18 +702,10 @@ def monte_carlo_mean(
     else:
         var = (res.sumsq - n * mean * mean) / (n - 1.0)
         sd = np.sqrt(np.maximum(var, 0.0))
-    m = params.m
-    n_samples = mean.shape[0]
-    times = np.arange(n_samples) * (stride * dt)
-    return TrajectoryTable(
-        times=times,
-        s=mean[:, :m],
-        a=mean[:, m : 2 * m],
-        dd=mean[:, 2 * m :],
-        sd_s=sd[:, :m],
-        sd_a=sd[:, m : 2 * m],
-        sd_dd=sd[:, 2 * m :],
-    )
+    s, a, dd = np.split(mean, 3, axis=1)
+    sd_s, sd_a, sd_dd = np.split(sd, 3, axis=1)
+    return TrajectoryTable(times=np.arange(mean.shape[0]) * (stride * dt), s=s, a=a, dd=dd,
+                           sd_s=sd_s, sd_a=sd_a, sd_dd=sd_dd)
 
 
 @dataclass(frozen=True, eq=False)
@@ -733,7 +745,7 @@ def extinction_time_stochastic(
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
     seed = _check_seed(seed)
-    n_epochs, _ = _chain_setup(params, init, mode, dt, horizon)
+    n_epochs, _ = _chain_setup(params, init, mode, dt, horizon, logistic=logistic)
     epochs = _run_replicas(params, mode, logistic, init, dt, n_epochs, _ReplicaSeeds(seed, n_replicas)).ext_epoch
     times = np.where(epochs >= 0, epochs * dt, np.nan)
     done = times[np.isfinite(times)]
@@ -811,7 +823,7 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
     and applies it ``n_steps`` times to a point mass at ``init``. A step
     is one ``np.bincount``, which adds each row's products in column
     order from 0.0, as a CSR matvec does. Runs in paper_literal mode
-    (constant N).
+    (constant N), on the rates of :func:`_mode_rates`.
 
     Raises:
         StepSizeError: if the summed event probability exceeds 1 at any
@@ -831,9 +843,7 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
     p[_simplex_index(n, int(init.s[0]), int(init.a[0]))] = 1.0
     s_vals = states[:, 0].astype(float)
     a_vals = states[:, 1].astype(float)
-    e_s = np.empty(n_steps + 1)
-    e_a = np.empty(n_steps + 1)
-    mass = np.empty(n_steps + 1)
+    e_s, e_a, mass = np.empty((3, n_steps + 1))
     for step in range(n_steps + 1):
         if step > 0:
             p = np.bincount(row, weights=val * p[col], minlength=p.size)

@@ -17,11 +17,7 @@ from .logistic import LogisticConfig
 from .model import ContinuousState, ModelParams, _kernel
 from .trajectory import TrajectoryTable
 
-__all__ = [
-    "IntegrationConfig",
-    "integrate",
-    "extinction_time_deterministic",
-]
+__all__ = ["IntegrationConfig", "integrate"]
 
 # fraction of steps allowed to hit the negativity clamp before the run
 # is rejected
@@ -90,38 +86,12 @@ def integrate(
     n_samples = n_steps // stride + 1
 
     _, march = _kernel(params, logistic)
-    m = params.m
-    out = np.empty((n_samples, 3 * m))
+    out = np.empty((n_samples, 3 * params.m))
     clamped = march(*init.s.tolist(), *init.a.tolist(), *init.dd.tolist(), h, n_steps, stride, out)
     if n_steps > 0 and clamped > _CLAMP_BUDGET * n_steps:
         raise NumericError(
             f"negativity clamp hit on {clamped}/{n_steps} steps "
             f"(> {_CLAMP_BUDGET:.1%}); decrease the step size"
         )
-    times = np.arange(n_samples) * (stride * h)
-    return TrajectoryTable(
-        times=times,
-        s=out[:, :m],
-        a=out[:, m : 2 * m],
-        dd=out[:, 2 * m :],
-        clamped_steps=clamped,
-    )
-
-
-def extinction_time_deterministic(traj: TrajectoryTable, threshold: float) -> float | None:
-    """Earliest sampled time after which total activity stays below ``threshold``.
-
-    Returns None when the final sample is still at or above the threshold
-    (activity never dies out within the trajectory). A trajectory that
-    never reaches the threshold returns its first sample time.
-    """
-    if not np.isfinite(threshold) or threshold <= 0:
-        raise DomainError(f"threshold must be positive and finite, got {threshold!r}")
-    total = traj.total_active()
-    above = np.flatnonzero(total >= threshold)
-    if above.size == 0:
-        return float(traj.times[0])
-    last_above = int(above[-1])
-    if last_above == total.shape[0] - 1:
-        return None
-    return float(traj.times[last_above + 1])
+    s, a, dd = np.split(out, 3, axis=1)
+    return TrajectoryTable(times=np.arange(n_samples) * (stride * h), s=s, a=a, dd=dd, clamped_steps=clamped)

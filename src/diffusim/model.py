@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 
+# the per-group rate vectors of ModelParams, in field order
+_RATES = ("b", "d", "rho", "delta", "phi", "eps", "gamma")
+
+
 def _fields_equal(x, y) -> bool:
     """Dataclass equality that compares array fields by value."""
     if not isinstance(y, type(x)):
@@ -119,7 +123,7 @@ class ModelParams:
         if not np.isfinite(a) or a < 0:
             raise DomainError(f"alpha must be nonnegative and finite, got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
-        for name in ("b", "d", "rho", "delta", "phi", "eps", "gamma"):
+        for name in _RATES:
             object.__setattr__(self, name, _rate_array(name, getattr(self, name), self.m))
 
     def with_alpha(self, alpha: float) -> "ModelParams":
@@ -138,13 +142,10 @@ class ContinuousState:
     dd: np.ndarray
 
     def __post_init__(self):
-        s = _state_array("s", self.s)
-        a = _state_array("a", self.a, s.shape[0])
-        dd = _state_array("dd", self.dd, s.shape[0])
+        object.__setattr__(self, "s", _state_array("s", self.s))
+        for name in ("a", "dd"):
+            object.__setattr__(self, name, _state_array(name, getattr(self, name), self.m))
         object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "dd", dd)
 
     @property
     def m(self) -> int:
@@ -364,25 +365,76 @@ def _kernel(params: ModelParams, logistic=None) -> tuple[Callable, Callable]:
     return ns.pop("flow"), ns.pop("march")
 
 
-def disease_free_equilibrium(params: ModelParams) -> EquilibriumPoint:
-    """Closed-form stationary point with no actives.
+def _free_point(params: ModelParams, totals) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """(kept, totals, s*, d*) of :func:`disease_free_equilibrium`, s* and d* unchecked.
 
-    With a_i = 0 the per-group balance solves to
-
-        s*_i = b_i (d_i + delta_i) / (d_i (d_i + delta_i + rho_i))
-        d*_i = b_i rho_i          / (d_i (d_i + delta_i + rho_i))
-
-    Requires every d_i > 0 (otherwise no finite stationary point exists).
-    Raises NumericError, naming the group, when s*_i or d*_i is not
-    finite, as when the denominator underflows to 0.
+    ``kept`` marks the conserved groups; ``totals`` is zero outside them,
+    or None when there are none.
     """
-    if np.any(params.d <= 0):
-        raise DomainError("disease-free equilibrium requires every death rate d_i > 0")
-    # a non-finite point is refused below, without numpy's warnings first
+    kept = params.d == 0
+    if not kept.any():
+        totals = None
+    else:
+        grows = np.flatnonzero(kept & (params.b > 0))
+        if grows.size:
+            raise DomainError(f"group {grows[0] + 1} has d_i = 0 < b_i: it grows without bound, "
+                              "so there is no rest point")
+        if totals is None:
+            raise DomainError(f"group {np.flatnonzero(kept)[0] + 1} has d_i = b_i = 0, so it keeps its "
+                              "total N_i: pass the group totals as totals")
+        n = np.asarray(totals, dtype=float)
+        if n.shape not in ((), kept.shape):
+            raise DomainError(f"totals: expected scalar or length-{params.m} vector, got shape {n.shape}")
+        totals = _state_array("totals", np.where(kept, n, 0.0), params.m)  # other entries are never read
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         denom = params.d * (params.d + params.delta + params.rho)
         s_star = params.b * (params.d + params.delta) / denom
         d_star = params.b * params.rho / denom
+        if totals is not None:
+            back = params.delta + params.rho
+            s_star = np.where(kept, totals * (params.delta / back), s_star)
+            d_star = np.where(kept, totals * (params.rho / back), d_star)
+    return kept, totals, s_star, d_star
+
+
+def _r0_terms(params: ModelParams, s_star: np.ndarray) -> tuple[np.ndarray, float]:
+    """R0's per-group terms and their sum, unchecked and without numpy's warnings.
+
+    Group i adds alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)) at
+    the disease-free point s*; for a conserved group that is
+    alpha eps_i gamma_i N_i delta_i / (n_total phi_i (delta_i + rho_i))
+    (van den Driessche & Watmough 2002, Math. Biosci. 180:29).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = params.alpha * params.eps * params.gamma * s_star / (params.n_total * (params.d + params.phi))
+        return terms, float(np.sum(terms))
+
+
+def disease_free_equilibrium(params: ModelParams, *, totals=None) -> EquilibriumPoint:
+    """Closed-form stationary point with no actives.
+
+    With a_i = 0 a group with d_i > 0 rests at
+
+        s*_i = b_i (d_i + delta_i) / (d_i (d_i + delta_i + rho_i))
+        d*_i = b_i rho_i          / (d_i (d_i + delta_i + rho_i))
+
+    A conserved group (d_i = b_i = 0) splits its total N_i, the i-th
+    entry of ``totals`` (read only for such groups), as
+
+        s*_i = N_i delta_i / (delta_i + rho_i),  d*_i = N_i rho_i / (delta_i + rho_i)
+
+    Raises:
+        DomainError: naming the first group that has d_i = 0 < b_i, that
+            is conserved while ``totals`` is None, or that is conserved
+            with delta_i + rho_i = 0, whose split is not unique.
+        NumericError: naming the group, when s*_i or d*_i is not finite,
+            as when the denominator underflows to 0.
+    """
+    kept, totals, s_star, d_star = _free_point(params, totals)
+    idle = np.flatnonzero(kept & (params.delta + params.rho == 0)) if totals is not None else ()
+    if len(idle):
+        raise DomainError(f"group {idle[0] + 1} keeps its total but has delta_i + rho_i = 0, "
+                          "so its disease-free point is not unique")
     if not (np.isfinite(s_star) & np.isfinite(d_star)).all():
         i = np.argmin(np.isfinite(s_star) & np.isfinite(d_star))
         raise NumericError(f"disease-free equilibrium of group {i + 1} is not finite: "
@@ -432,12 +484,12 @@ def endemic_equilibrium(
     The rest point solves the scalar equation W = sum_i gamma_i a_i(W).
     The ratio sum_i gamma_i a_i(W) / W falls from R0 at W -> 0, so a
     positive root exists, and is unique, exactly when R0 > 1 (van den
-    Driessche & Watmough 2002, Math. Biosci. 180:29). Above it, W is
-    bisected on (0, sum_i gamma_i c_i], where c_i is b_i / d_i, or N_i
-    for a conserved group, until the midpoint equals an endpoint. At
-    R0 <= 1 the result is the W -> 0 limit, which is exactly
-    :func:`disease_free_equilibrium` when every d_i > 0. The seed enters
-    only through the totals N_i.
+    Driessche & Watmough 2002, Math. Biosci. 180:29), which is decided
+    with the bits of ``r0_rank_one(params, totals=N)``. At R0 <= 1 the
+    result is ``disease_free_equilibrium(params, totals=N)``. Above it, W
+    is bisected on (0, sum_i gamma_i c_i], where c_i is b_i / d_i, or N_i
+    for a conserved group, until the midpoint equals an endpoint. The
+    seed enters only through the totals N_i.
 
     The returned point is tagged endemic when its total active mass
     exceeds ``extinction_threshold``, disease_free otherwise.
@@ -449,47 +501,41 @@ def endemic_equilibrium(
             conserved group has phi_i (delta_i + rho_i) = 0, since its
             rest point at W = 0 is not unique. The message names the
             first such group, counting from 1.
-        NumericError: if the bracket sum_i gamma_i c_i or R0 overflows,
-            or if the rest point is not finite; the latter names the first
-            such group, counting from 1.
+        NumericError: if the bracket sum_i gamma_i c_i or the ratio at
+            W -> 0 overflows, or if the rest point is not finite; the
+            latter names the first such group, counting from 1.
     """
     if not 0.0 <= extinction_threshold < math.inf:
         raise DomainError(f"extinction_threshold must be nonnegative and finite, got {extinction_threshold!r}")
     _check_seed_state(params, seed_state)
-    kept = params.d == 0
-    grows = np.flatnonzero(kept & (params.b > 0))
-    if grows.size:
-        raise DomainError(f"group {grows[0] + 1} has d_i = 0 < b_i: it grows without bound, "
-                          "so there is no rest point")
+    kept, totals, s_star, _ = _free_point(params, seed_state.s + seed_state.a + seed_state.dd)
     stuck = np.flatnonzero(kept & (params.phi * (params.delta + params.rho) == 0))
     if stuck.size:
         raise DomainError(f"group {stuck[0] + 1} keeps its total but has phi_i (delta_i + rho_i) = 0, "
                           "so its rest point is not unique")
-    totals = np.where(kept, seed_state.s + seed_state.a + seed_state.dd, 0.0)
+    if _r0_terms(params, s_star)[1] <= 1.0:
+        return disease_free_equilibrium(params, totals=totals)
+    totals = np.zeros(params.m) if totals is None else totals
     # a conserved group sees d = 1 and b = 0 below; np.where replaces its terms
     d = np.where(kept, 1.0, params.d)
-    # an overflowing R0 or bracket is refused below, without numpy's warnings first
+    # an overflowing bracket or ratio is refused below, without numpy's warnings first
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = _activation_ratio(params, totals)
         hi = float(np.sum(params.gamma * np.where(kept, totals, params.b) / d))
-    r0 = ratio(0.0)
-    if r0 <= 1.0:
-        if not kept.any():
-            return disease_free_equilibrium(params)
-        w = 0.0
-    else:
-        lo = 0.0
-        # every rest_i > 0, so an infinite or nan R0 can only be an overflow
-        if not (math.isfinite(hi) and math.isfinite(r0)):
-            raise NumericError(f"rest-point bracket sum_i gamma_i c_i = {hi} or R0 = {r0} is not finite")
-        while True:
-            w = 0.5 * (lo + hi)
-            if w == lo or w == hi:
-                break
-            if ratio(w) > 1.0:
-                lo = w
-            else:
-                hi = w
+    # the ratio falls in W, so its W -> 0 limit bounds every value the bisection
+    # reads; every rest_i > 0, so an infinite or nan limit can only be an overflow
+    top = ratio(0.0)
+    if not (math.isfinite(hi) and math.isfinite(top)):
+        raise NumericError(f"rest-point bracket sum_i gamma_i c_i = {hi} or R0 = {top} is not finite")
+    lo = 0.0
+    while True:
+        w = 0.5 * (lo + hi)
+        if w == lo or w == hi:
+            break
+        if ratio(w) > 1.0:
+            lo = w
+        else:
+            hi = w
     rho, delta, phi = params.rho, params.delta, params.phi
     # a point that is not finite is refused below, without numpy's warnings first
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -514,9 +560,8 @@ def _activation_ratio(params: ModelParams, totals: np.ndarray) -> Callable[[floa
 
     a_i(W) is group i's stationary activity when W = gamma . a is held
     fixed (see :func:`endemic_equilibrium`). Each term has the form
-    num_i / (grow_i W + rest_i), so the ratio falls in W. At W = 0 it is
-    R0: a group with d_i > 0 adds alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)),
-    and a conserved group alpha eps_i gamma_i N_i delta_i / (n_total phi_i (delta_i + rho_i)).
+    num_i / (grow_i W + rest_i), so the ratio falls in W, from R0 at
+    W = 0 in exact arithmetic; :func:`_r0_terms` gives R0's bits.
     """
     kept = params.d == 0
     rho, delta, phi = params.rho, params.delta, params.phi

@@ -10,8 +10,14 @@ The basic reproduction number is the spectral radius of k = f v^-1.
 Because f has rank one, so does k, and its spectral radius is its trace
 sum_i alpha * eps_i * gamma_i * s*_i / (n_total * (d_i + phi_i))
 (van den Driessche & Watmough 2002, Math. Biosci. 180:29). Every route
-here takes r0 from that closed form; the tests check it against power
+here, and the endemic point's R0 <= 1 decision, takes r0 from that
+closed form (``model._r0_terms``); the tests check it against power
 iteration and dense eigenvalues.
+
+A conserved group (d_i = b_i = 0, as on paper_literal's rates) rests at
+s*_i = N_i delta_i / (delta_i + rho_i) for its total N_i. Every entry
+point takes the totals as the keyword ``totals``; without them such a
+group raises DomainError naming it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .model import ModelParams, disease_free_equilibrium
+from .model import ModelParams, _r0_terms, disease_free_equilibrium
 
 __all__ = [
     "NextGenDecomposition",
@@ -42,22 +48,20 @@ class NextGenDecomposition:
 
 
 def _r0(params: ModelParams, s_star: np.ndarray) -> float:
-    """sum_i alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)), refused when not finite."""
-    # a non-finite r0 is refused below, without numpy's warnings first
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        terms = params.alpha * params.eps * params.gamma * s_star / (params.n_total * (params.d + params.phi))
-        r0 = np.sum(terms)
-        if not np.isfinite(r0):
-            if not np.isfinite(terms).all():
-                i = int(np.argmin(np.isfinite(terms)))
-                raise NumericError(f"R0 term of group {i + 1} is not finite: "
-                                   f"alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)) = {terms[i]}")
+    """R0 at the disease-free point ``s_star``, refused when not finite."""
+    terms, r0 = _r0_terms(params, s_star)
+    if not np.isfinite(r0):
+        if not np.isfinite(terms).all():
+            i = int(np.argmin(np.isfinite(terms)))
+            raise NumericError(f"R0 term of group {i + 1} is not finite: "
+                               f"alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)) = {terms[i]}")
+        with np.errstate(over="ignore"):
             i = int(np.argmin(np.isfinite(np.cumsum(terms))))
-            raise NumericError(f"R0 is not finite: the sum of the per-group terms overflows at group {i + 1}")
-    return float(r0)
+        raise NumericError(f"R0 is not finite: the sum of the per-group terms overflows at group {i + 1}")
+    return r0
 
 
-def build_decomposition(params: ModelParams) -> NextGenDecomposition:
+def build_decomposition(params: ModelParams, *, totals=None) -> NextGenDecomposition:
     """Evaluate f, v and k at the disease-free equilibrium, and r0 as for r0_rank_one.
 
     v is diagonal by construction and is inverted entrywise.
@@ -66,7 +70,7 @@ def build_decomposition(params: ModelParams) -> NextGenDecomposition:
         NumericError: if r0, or an entry of f or k, is not finite; the
             message names the group or the entry (i, j), counting from 1.
     """
-    dfe = disease_free_equilibrium(params)
+    dfe = disease_free_equilibrium(params, totals=totals)
     r0 = _r0(params, dfe.s_star)
     exit_rate = params.d + params.phi
     # alpha eps_i gamma_j first, as in r0's terms: eps_i s*_i alone can overflow
@@ -82,7 +86,7 @@ def build_decomposition(params: ModelParams) -> NextGenDecomposition:
     return NextGenDecomposition(f=f, v=np.diag(exit_rate), k=k, r0=r0)
 
 
-def r0_rank_one(params: ModelParams) -> float:
+def r0_rank_one(params: ModelParams, *, totals=None) -> float:
     """Closed-form r0 using the rank-one structure of f.
 
     Equals sum_i alpha * eps_i * gamma_i * s*_i / (n_total * (d_i + phi_i)),
@@ -92,10 +96,10 @@ def r0_rank_one(params: ModelParams) -> float:
         NumericError: if a per-group term or the sum is not finite; the
             message names the first such group, counting from 1.
     """
-    return _r0(params, disease_free_equilibrium(params).s_star)
+    return _r0(params, disease_free_equilibrium(params, totals=totals).s_star)
 
 
-def calibrate_alpha(params: ModelParams, target_r0: float) -> float:
+def calibrate_alpha(params: ModelParams, target_r0: float, *, totals=None) -> float:
     """Contact scalar alpha that yields the requested r0.
 
     r0 is linear in alpha, so alpha* = target_r0 / r0(alpha=1) exactly.
@@ -109,7 +113,7 @@ def calibrate_alpha(params: ModelParams, target_r0: float) -> float:
     target = float(target_r0)
     if not np.isfinite(target) or target <= 0:
         raise DomainError(f"target_r0 must be positive and finite, got {target_r0!r}")
-    r0_unit = r0_rank_one(params.with_alpha(1.0))
+    r0_unit = r0_rank_one(params.with_alpha(1.0), totals=totals)
     if r0_unit <= 0.0:
         raise DomainError("r0 at alpha=1 is zero; no alpha can reach the target")
     alpha = target / r0_unit

@@ -47,9 +47,8 @@ class TrajectoryTable:
             setattr(self, name, arr)
             if arr.ndim != 2 or arr.shape[0] != self.times.shape[0]:
                 raise DomainError(f"{name}: expected shape (T, m) with T = len(times)")
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
+            shape = shape or arr.shape
+            if arr.shape != shape:
                 raise DomainError("s, a and dd must share one shape")
             if np.any(arr < 0) or not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name}: entries must be finite and nonnegative")
@@ -76,24 +75,15 @@ class TrajectoryTable:
         return self.a.sum(axis=1)
 
     def csv_header(self) -> str:
-        m = self.m
-        cols = ["time"]
-        for tag in ("S", "A", "D"):
-            cols += [f"{tag}_{i}" for i in range(1, m + 1)]
-        if self.has_spread:
-            for tag in ("S", "A", "D"):
-                cols += [f"sd_{tag}_{i}" for i in range(1, m + 1)]
-        return ",".join(cols)
+        kinds = ("", "sd_") if self.has_spread else ("",)
+        return ",".join(["time"] + [f"{k}{tag}_{i}" for k in kinds for tag in "SAD" for i in range(1, self.m + 1)])
 
     def csv_rows(self):
-        blocks = [self.s, self.a, self.dd]
+        blocks = [self.times[:, None], self.s, self.a, self.dd]
         if self.has_spread:
             blocks += [self.sd_s, self.sd_a, self.sd_dd]
-        for r, t in enumerate(self.times):
-            cells = [format_value(t)]
-            for block in blocks:
-                cells += [format_value(v) for v in block[r]]
-            yield ",".join(cells)
+        for r in range(self.times.shape[0]):
+            yield ",".join(format_value(v) for block in blocks for v in block[r])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

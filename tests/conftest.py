@@ -6,7 +6,16 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import strategies as st
 
-from diffusim import FULL, PAPER_LITERAL, ContinuousState, DiscreteState, LogisticConfig, ModelParams, max_stable_dt
+from diffusim import (
+    FULL,
+    PAPER_LITERAL,
+    ContinuousState,
+    DiscreteState,
+    LogisticConfig,
+    ModelParams,
+    TrajectoryTable,
+    max_stable_dt,
+)
 from diffusim.dtmc import _exact_kernel, _simplex_index
 from diffusim.errors import DomainError, NumericError
 from diffusim.model import _check_seed_state, _kernel, _population_error, _tagged
@@ -262,3 +271,22 @@ def apply_logistic(params: ModelParams, cfg: LogisticConfig, state) -> ModelPara
     """
     total = float(np.sum(state.s) + np.sum(state.a) + np.sum(state.dd))
     return effective_params_for_total(params, cfg, total)
+
+
+def extinction_time_deterministic(traj: TrajectoryTable, threshold: float) -> float | None:
+    """Earliest sampled time after which total activity stays below ``threshold``.
+
+    Returns None when the final sample is still at or above the threshold
+    (activity never dies out within the trajectory). A trajectory that
+    never reaches the threshold returns its first sample time.
+    """
+    if not np.isfinite(threshold) or threshold <= 0:
+        raise DomainError(f"threshold must be positive and finite, got {threshold!r}")
+    total = traj.total_active()
+    above = np.flatnonzero(total >= threshold)
+    if above.size == 0:
+        return float(traj.times[0])
+    last_above = int(above[-1])
+    if last_above == total.shape[0] - 1:
+        return None
+    return float(traj.times[last_above + 1])

@@ -34,7 +34,6 @@ PUBLIC = [
     "endemic_equilibrium",
     "event_probabilities",
     "exact_propagation",
-    "extinction_time_deterministic",
     "extinction_time_stochastic",
     "format_value",
     "integrate",

@@ -226,6 +226,38 @@ def test_oversized_chain_step_exits_3(tmp_path, capsys):
     assert "decrease dt" in capsys.readouterr().err
 
 
+OVERFLOW_CFG = """
+m = 1
+n_total = 10
+alpha = {alpha}
+b = {b}
+d = 0.01
+rho = 0.2
+delta = 0.03
+phi = 0.03
+eps = {eps}
+gamma = 1
+s0 = 5
+a0 = 3
+d0 = 2
+horizon = 1
+sample_every = 1
+"""
+
+
+@pytest.mark.parametrize("rates, bound", [(dict(alpha="1e300", b="0", eps="1e10"), "inf"),
+                                          (dict(alpha="1", b="1e308", eps="1"), "1e+308")],
+                         ids=["zero", "subnormal"])
+def test_an_overflowing_stability_bound_exits_3_naming_it(tmp_path, capsys, rates, bound):
+    # the automatic dt divides sample_every by the bound: a bound of 0.0 used
+    # to raise ZeroDivisionError, and a subnormal one asked for ~1e308 epochs
+    cfg = write_cfg(tmp_path, OVERFLOW_CFG.format(**rates))
+    assert main(["run-dtmc", "--config", cfg, "--replicas", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: total event rate bound {bound} is too large for a stable epoch length")
+
+
 def test_negative_logistic_stage_exits_3(tmp_path, capsys):
     # table2 rates at R0 4.9 with a step of 0.1 and strong logistic turnover:
     # an RK4 stage population goes negative, which is a step-size failure

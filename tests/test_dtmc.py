@@ -27,7 +27,7 @@ from diffusim import (
     simulate_replica,
 )
 from diffusim.dtmc import _BATCH_SLOTS, _Engine, _ReplicaSeeds, _run_replicas
-from diffusim.errors import DomainError, StepSizeError
+from diffusim.errors import DomainError, NumericError, StepSizeError
 
 
 def theta_params() -> ModelParams:
@@ -213,6 +213,22 @@ def test_stability_bound_shrinks_with_population_and_guards_the_table():
         table = event_probabilities(p, st, dt, PAPER_LITERAL)
         vals = np.array([float(v) for v in table.probabilities.values()])
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+
+
+# alpha eps gamma n^2 / n_total overflows to inf, so 0.9 / bound was 0.0;
+# b = 1e308 leaves a finite bound whose 0.9 / bound is subnormal
+OVERFLOWING_BOUNDS = [
+    (dict(alpha=1e300, eps=1e10), r"^total event rate bound inf is too large .* = 0\.0$"),
+    (dict(b=1e308), r"^total event rate bound 1e\+308 is too large .* = 9e-309$"),
+]
+
+
+@pytest.mark.parametrize("rates, match", OVERFLOWING_BOUNDS, ids=["zero", "subnormal"])
+def test_an_overflowing_stability_bound_is_refused_naming_it(rates, match):
+    p = ModelParams(**{**dict(m=1, n_total=10.0, alpha=1.0, b=0.0, d=0.01, rho=0.2, delta=0.03,
+                              phi=0.03, eps=1.0, gamma=1.0), **rates})
+    with pytest.raises(NumericError, match=match):
+        max_stable_dt(p, 10)
 
 
 @pytest.mark.parametrize("capacity", [60.0, 150.0])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import two_group_params
+from conftest import extinction_time_deterministic, two_group_params
 
 from diffusim import (
     ContinuousState,
@@ -10,7 +10,6 @@ from diffusim import (
     ModelParams,
     calibrate_alpha,
     disease_free_equilibrium,
-    extinction_time_deterministic,
     integrate,
 )
 from diffusim.errors import DomainError, NumericError

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffusim import (
+    ContinuousState,
     ModelParams,
     build_decomposition,
     calibrate_alpha,
     disease_free_equilibrium,
+    endemic_equilibrium,
     r0_rank_one,
 )
 from diffusim.errors import DiffusionError, DomainError, NumericError
@@ -231,3 +233,117 @@ def test_an_overflowing_off_diagonal_entry_is_refused_while_r0_is_finite():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match=r"^next-generation matrix f is not finite at entry \(1, 2\): inf$"):
             build_decomposition(p)
+
+
+# ------------------------------------------------ conserved groups and totals
+
+ENTRY_POINTS = [disease_free_equilibrium, r0_rank_one, build_decomposition,
+                lambda p, **kw: calibrate_alpha(p, 1.4, **kw)]
+ENTRY_IDS = ["disease_free_equilibrium", "r0_rank_one", "build_decomposition", "calibrate_alpha"]
+
+
+def conserved_second_group(**rates) -> ModelParams:
+    base = two_group_params()
+    kw = dict(m=2, n_total=100.0, alpha=1.0, b=[0.01, 0.0], d=[0.01, 0.0], rho=base.rho,
+              delta=base.delta, phi=base.phi, eps=base.eps, gamma=base.gamma)
+    kw.update(rates)
+    return ModelParams(**kw)
+
+
+@pytest.mark.parametrize("route", ENTRY_POINTS, ids=ENTRY_IDS)
+def test_a_conserved_group_needs_totals_and_names_itself_without_them(route):
+    p = conserved_second_group()
+    with pytest.raises(DomainError, match=r"^group 2 has d_i = b_i = 0, so it keeps its total"):
+        route(p)
+    route(p, totals=[50.0, 50.0])
+
+
+@pytest.mark.parametrize("route", ENTRY_POINTS, ids=ENTRY_IDS)
+def test_a_group_without_deaths_but_with_births_is_refused_on_every_route(route):
+    p = conserved_second_group(b=0.01)
+    with pytest.raises(DomainError, match=r"^group 2 has d_i = 0 < b_i"):
+        route(p, totals=[50.0, 50.0])
+
+
+def test_totals_are_read_only_for_conserved_groups():
+    p = conserved_second_group()
+    assert r0_rank_one(p, totals=[50.0, 50.0]) == r0_rank_one(p, totals=[1e9, 50.0])
+    assert r0_rank_one(p, totals=[50.0, 50.0]) != r0_rank_one(p, totals=[50.0, 60.0])
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        q = random_params(rng, int(rng.integers(1, 5)))
+        assert r0_rank_one(q, totals=np.full(q.m, np.nan)) == r0_rank_one(q)
+        assert build_decomposition(q, totals=np.full(q.m, 7.0)).r0 == build_decomposition(q).r0
+
+
+def test_a_conserved_group_rests_at_its_split_of_the_total():
+    p = conserved_second_group()
+    eq = disease_free_equilibrium(p, totals=[0.0, 50.0])
+    assert eq.s_star[1] == pytest.approx(50.0 * 0.03 / 0.23, rel=1e-15)
+    assert eq.d_star[1] == pytest.approx(50.0 * 0.2 / 0.23, rel=1e-15)
+    np.testing.assert_array_equal(eq.s_star[:1], disease_free_equilibrium(two_group_params()).s_star[:1])
+    with pytest.raises(DomainError, match=r"^group 2 keeps its total but has delta_i \+ rho_i = 0"):
+        disease_free_equilibrium(conserved_second_group(rho=[0.2, 0.0], delta=[0.03, 0.0]), totals=[0.0, 50.0])
+    with pytest.raises(DomainError, match=r"^totals: expected scalar or length-2 vector"):
+        disease_free_equilibrium(p, totals=[1.0, 2.0, 3.0])
+    with pytest.raises(DomainError, match=r"^totals: entries must be nonnegative"):
+        disease_free_equilibrium(p, totals=[0.0, -1.0])
+
+
+def test_paper_literal_r0_is_the_radius_of_its_next_generation_matrix():
+    # the constant-population model on its own terms: S_i -> D_i at rho_i + d_i,
+    # A_i -> D_i at phi_i + d_i and D_i -> S_i at delta_i, so at a = 0 group i
+    # rests at s*_i = N_i delta_i / (delta_i + rho_i + d_i), and
+    # k_ij = alpha eps_i gamma_j s*_i / (n_total (phi_j + d_j))
+    rng = np.random.default_rng(26)
+    for _ in range(100):
+        p = random_params(rng, int(rng.choice([1, 2, 3, 5])))
+        n = rng.uniform(1.0, 100.0, p.m)
+        s_star = n * p.delta / (p.delta + p.rho + p.d)
+        k = p.alpha * np.outer(p.eps * s_star, p.gamma) / p.n_total / (p.phi + p.d)[None, :]
+        q = ModelParams(m=p.m, n_total=p.n_total, alpha=p.alpha, b=0.0, d=0.0, rho=p.rho + p.d,
+                        delta=p.delta, phi=p.phi + p.d, eps=p.eps, gamma=p.gamma)
+        r0 = r0_rank_one(q, totals=n)
+        assert r0 == pytest.approx(spectral_radius(k), rel=1e-10)
+        dec = build_decomposition(q, totals=n)
+        assert dec.r0 == r0
+        np.testing.assert_allclose(dec.k, k, rtol=1e-13)
+        assert r0_rank_one(q.with_alpha(calibrate_alpha(q, 1.7, totals=n)), totals=n) == pytest.approx(1.7, rel=1e-12)
+
+
+def test_the_endemic_point_decides_r0_as_r0_rank_one_does():
+    # every draw sits at R0 = 1 to rounding; wherever r0_rank_one says
+    # R0 <= 1 the endemic search must return exactly the disease-free point
+    rng = np.random.default_rng(27)
+    below = 0
+    for _ in range(2000):
+        m = int(rng.integers(1, 5))
+
+        def rates():
+            return 10.0 ** rng.uniform(-3.0, 3.0, m)
+
+        base = ModelParams(m=m, n_total=float(10.0 ** rng.uniform(-3.0, 3.0)), alpha=1.0, b=rates(),
+                           d=rates(), rho=rates(), delta=rates(), phi=rates(), eps=rates(), gamma=rates())
+        p = base.with_alpha(calibrate_alpha(base, 1.0))
+        if r0_rank_one(p) > 1.0:
+            continue
+        below += 1
+        dfe = disease_free_equilibrium(p)
+        seed = ContinuousState(t=0.0, s=dfe.s_star, a=np.full(m, 1.0), dd=dfe.d_star)
+        eq = endemic_equilibrium(p, seed)
+        assert eq == dfe and eq.kind == "disease_free"
+    assert below > 500
+
+
+def test_the_endemic_decision_reads_the_seed_totals_of_conserved_groups():
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        p = conserved_second_group(alpha=float(rng.uniform(0.5, 3.0)))
+        seed = ContinuousState(t=0.0, s=rng.uniform(0.0, 50.0, 2), a=rng.uniform(0.1, 20.0, 2),
+                               dd=rng.uniform(0.0, 20.0, 2))
+        totals = seed.s + seed.a + seed.dd
+        eq = endemic_equilibrium(p, seed)
+        if r0_rank_one(p, totals=totals) <= 1.0:
+            assert eq == disease_free_equilibrium(p, totals=totals)
+        else:
+            assert float(eq.a_star.sum()) > 0
