@@ -47,7 +47,7 @@ Reproducibility contract, version 2 (v1 drew one PCG64 uniform per epoch):
   never fires. The gap uses numpy's ``log1p``, so the bits hold per numpy
   build and CPU: ``math.log1p`` differs from it in the last bit on some
   inputs.
-* An ensemble streams through one batch of at most 512 slots. When half
+* An ensemble streams through one batch of at most 1024 slots. When half
   the slots are finished, the next replicas in index order take their
   places; the batch shrinks only once none are left. Its reductions are
   exact integer sums, which no order of addition changes, so the batch
@@ -57,14 +57,15 @@ Reproducibility contract, version 2 (v1 drew one PCG64 uniform per epoch):
   which a running replica would simulate an epoch from a state whose
   summed event probability exceeds 1 raises StepSizeError, naming the
   lowest ensemble index among the overloaded replicas. Replicas past the
-  first 512 start at a refill, so which one that is can depend on the
-  batch width; an ensemble of at most 512 replicas starts whole.
+  first 1024 start at a refill, so which one that is can depend on the
+  batch width; an ensemble of at most 1024 replicas starts whole.
 
 A batch advances from event to event, so its cost grows with the events
 rather than the epochs. It is held in column layout, one row per
 compartment or event and one column per replica, so each array operation
-of a round, the two uniforms included, is one pass over the replicas. The
-activation scale gamma . a is the left-to-right sum of the products
+of a round, the two uniforms included, is one pass over the replicas;
+past 256 slots the running sums are formed one row at a time, in place.
+The activation scale gamma . a is the left-to-right sum of the products
 a_i gamma_i, in ufuncs rather than BLAS, so a replica's probabilities, and
 with them its path, have the same bits alone and in a batch of any width.
 """
@@ -111,7 +112,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
 # an ensemble streams through a batch of at most this many slots
-_BATCH_SLOTS = 512
+_BATCH_SLOTS = 1024
+# past this many slots running sums are formed one contiguous row at a time: np.add.accumulate
+# runs one inner loop per column, slower from 128-256 columns at 4 to 64 rows
+_ROW_SUM_SLOTS = 256
 # event j of a replica hashes seed + (2j + 1) gamma and seed + (2j + 2) gamma:
 # its key seed + 2j gamma plus this column, after which the key moves on by _KEY_STEP
 _PAIR = np.array([[_GOLDEN], [(2 * _GOLDEN) & _MASK64]], dtype=np.uint64)
@@ -297,17 +301,16 @@ class _Engine:
         # state, the death rows with all of them, so each is one multiply
         self.c_mid = np.concatenate([rates["phi"] * dt, params.delta * dt])[:, None]
         self.c_death3 = (np.concatenate([d, d, d]) * dt)[:, None]
-        self.c_birth = b * dt
+        self.births = b * dt if self.n_events > 4 * m and logistic is None else np.empty(0)  # constant rows
 
-    def make_buffers(self, r: int) -> np.ndarray:
-        """Probability buffer, one row per event, for an r-replica batch.
+    def make_buffers(self, r: int, flat: np.ndarray | None = None) -> np.ndarray:
+        """Probability buffer, one row per event, for an r-replica batch: new, or the front of ``flat``.
 
         Constant rows (births outside the logistic coupling) are filled
         here once; fill_probabilities never touches them.
         """
-        p = np.zeros((self.n_events, r))
-        if self.n_events > 4 * self.m and self.logistic is None:
-            p[7 * self.m :] = self.c_birth[:, None]
+        p = np.zeros((self.n_events, r)) if flat is None else flat[: self.n_events * r].reshape(-1, r)
+        p[self.n_events - self.births.size :] = self.births[:, None]
         return p
 
     def fill_probabilities(self, state: np.ndarray, p: np.ndarray) -> None:
@@ -320,7 +323,8 @@ class _Engine:
         """
         m = self.m
         s = state[:m]
-        scale = np.add.accumulate(state[m : 2 * m] * self.gamma, axis=0)[-1]
+        scale = state[m : 2 * m] * self.gamma
+        scale = (np.add.accumulate(scale, axis=0) if state.shape[1] <= _ROW_SUM_SLOTS else _row_sums(scale))[-1]
         if self.logistic is None:
             coef, death = self.act_const, self.c_death3
         else:
@@ -342,6 +346,14 @@ class _Engine:
         p = self.make_buffers(state.shape[0])
         self.fill_probabilities(state.T, p)
         return p.T
+
+
+def _row_sums(q: np.ndarray, last: np.ndarray | tuple = ()) -> np.ndarray:
+    """``np.add.accumulate(q, axis=0)`` in place, a row at a time; the last rows add the constants ``last``."""
+    first = q.shape[0] - len(last)
+    for k in range(1, q.shape[0]):
+        np.add(q[k - 1], q[k] if k < first else last[k - first], out=q[k])
+    return q
 
 
 def _select(q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -511,49 +523,55 @@ def _run_replicas(
         moments = np.zeros((n_samples + 1, 2, 3 * m), dtype=np.int64)
         moments[0] = n_rep * np.stack([start, np.square(start)])
         flat = moments.reshape(-1)
-        rows = np.arange(6 * m)[:, None]
+        rows = np.arange(6 * m)[:, None]  # the places of the sums and then the squares in a sample
     else:
         ext_epoch = np.full(n_rep, 0 if extinct0 else -1)
         final = (n_rep - n_run) * start
 
-    # slot i runs replica rid[i] from state[:, i]; ptr[i] epochs are
-    # simulated, key[i] is seed + 2j gamma (mod 2^64) before its event j, and
-    # in a first passage ext[i] is the extinction epoch, n_epochs + 1 until
-    # the actives run out. Replicas [taken, n_run) wait for a slot
-    taken = 0
-    rid = np.empty(0, dtype=np.int64)
-    key = np.empty(0, dtype=np.uint64)
-    ptr = np.empty(0, dtype=np.int64)
-    ext = np.empty(0, dtype=np.int64)
-    state = np.empty((3 * m, 0), dtype=np.int64)
-    active = np.empty(0, dtype=bool)
-    p = np.empty((eng.n_events, 0))
+    # slot i, column i of ``cols``, runs replica rid[i] from state[:, i]; ptr[i] epochs are simulated
+    # and key[i] (its row read as uint64) is seed + 2j gamma (mod 2^64) before its event j. Every
+    # array of a round is the C-contiguous front of a buffer made once, at the batch's widest
+    width = min(_BATCH_SLOTS, n_run)
+    wide = width > _ROW_SUM_SLOTS  # a wide batch forms its running sums in place
+    slots = np.empty((3 + 3 * m) * width, dtype=np.int64)
+    flags = np.empty(width, dtype=bool)
+    probs = np.empty(eng.n_events * width)
+    psums = None if wide else np.empty_like(probs)
+    scratch = np.empty(6 * m * width, dtype=np.int64)  # d and work below
+    taken = n = 0  # replicas [taken, n_run) wait for a slot
+    cols, active = np.empty((3 + 3 * m, 0), dtype=np.int64), flags[:0]
 
     # log1p(-T) is -0.0 at T = 0 and -inf at T = 1; a finished slot's T may exceed 1
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
             # half the slots are finished (none at the start): write them
             # back, drop them and give their places to the next replicas
-            if not stride:
-                done = ~active
-                final += np.add.reduce(state[:, done], axis=1)
-                ext_epoch[rid[done]] = np.where(ext[done] > n_epochs, -1, ext[done])
-            new = min(_BATCH_SLOTS - np.count_nonzero(active), n_run - taken)
-            rid = np.concatenate([rid[active], np.arange(taken, taken + new)])
-            key = np.concatenate([key[active], np.asarray(seeds[taken : taken + new], dtype=np.uint64)])
-            ptr = np.concatenate([ptr[active], np.zeros(new, dtype=np.int64)])
-            ext = np.concatenate([ext[active], np.full(new, n_epochs + 1)])
-            state = np.concatenate([state[:, active], np.repeat(start[:, None], new, axis=1)], axis=1)
-            taken += new
-            n = rid.size
+            if not stride:  # a finished slot without actives went extinct at its last event
+                done = cols[:, ~active]
+                final += np.add.reduce(done[3:], axis=1)
+                ext_epoch[done[0]] = np.where(np.add.reduce(done[3 + m : 3 + 2 * m], axis=0) == 0, done[2], -1)
+            kept = np.count_nonzero(active)
+            new = min(width - kept, n_run - taken)
+            n = kept + new
             if not n:
                 break
-            if p.shape[1] != n:
-                p, q, step = eng.make_buffers(n), np.empty((eng.n_events, n)), np.empty((2, 3 * m, n), dtype=np.int64)
-            active = np.ones(n, dtype=bool)
+            slots[: (3 + 3 * m) * n].reshape(-1, n)[:, :kept] = cols[:, active]
+            cols, active = slots[: (3 + 3 * m) * n].reshape(-1, n), flags[:n]
+            rid, key, ptr, state = cols[0], cols[1].view(np.uint64), cols[2], cols[3:]
+            rid[kept:] = np.arange(taken, taken + new)
+            key[kept:] = seeds[taken : taken + new]
+            cols[2:, kept:] = np.concatenate([[0], start])[:, None]
+            taken += new
+            active[:] = True
+            p = eng.make_buffers(n, probs)
+            q = p if wide else psums[: eng.n_events * n].reshape(-1, n)
+            d, work = scratch[: 6 * m * n].reshape(2, 3 * m, n)
             while np.count_nonzero(active) > n // 2:
                 eng.fill_probabilities(state, p)
-                np.add.accumulate(p, axis=0, out=q)
+                if wide:
+                    _row_sums(p, eng.births)
+                else:
+                    np.add.accumulate(p, axis=0, out=q)
                 total = q[-1]
                 if np.maximum.reduce(total, where=active, initial=0.0) > 1.0:
                     i = int(np.argmax(active & (total > 1.0)))  # the lowest replica: slots are in order
@@ -568,33 +586,38 @@ def _run_replicas(
                 neg_uv = neg_uv * -(2.0**-53)
                 neg_total = -total
                 # the epoch of the next event; inf or nan (T = 0) never fires
-                gap = np.ceil(np.log1p(neg_uv[0]) / np.log1p(neg_total))
-                nxt = ptr + np.maximum(gap, 1.0)
+                nxt = ptr + np.maximum(np.ceil(np.log1p(neg_uv[0]) / np.log1p(neg_total)), 1.0)
                 fires = nxt <= n_epochs
                 fires &= active
                 np.less(nxt, n_epochs, out=active, where=active)  # an event in the last epoch ends the run
                 np.copyto(ptr, nxt, where=fires, casting="unsafe")
+                del nxt
                 np.add(key, _KEY_STEP, out=key, where=fires)
                 # x = v T = (-v)(-T), capped below T: q <= the float before T iff
                 # q < T, so x == T selects the last event of positive probability;
                 # a slot that does not fire reads x = inf, no_event. Every event
                 # index is in range, so take need not check it
                 x = np.where(fires, np.minimum(neg_uv[1] * neg_total, np.nextafter(total, 0.0)), np.inf)
-                d = np.take(eng.delta, _select(q, x), axis=1, out=step[0], mode="clip")
+                del neg_uv, neg_total  # freed before the selection, where a wide batch peaks
+                np.take(eng.delta, _select(q, x), axis=1, out=d, mode="clip")
                 state += d
                 if stride:
-                    # an event adds d to the sums of its first sample and
-                    # new^2 - old^2 = d (2 new - d) to the sums of squares
-                    np.add(state, state, out=step[1])
-                    step[1] -= d
-                    step[1] *= d
-                    k = (ptr + (stride - 1)) // stride
-                    np.add.at(flat, (rows + k * (6 * m)).ravel(), step.ravel())
+                    # d to the sums of the event's first sample, new^2 - old^2 = d (2 new - d) to its sums
+                    # of squares: a wide batch adds each half through one (3m, n) index, work's then d's
+                    k = (ptr + (stride - 1)) // stride * (6 * m)
+                    if wide:
+                        np.add(rows[: 3 * m], k, out=work)
+                        np.add.at(flat, work.ravel(), d.ravel())
+                    np.add(state, state, out=work)
+                    work -= d
+                    work *= d
+                    if wide:
+                        np.add(rows[3 * m :], k, out=d)
+                        np.add.at(flat, d.ravel(), work.ravel())
+                    else:
+                        np.add.at(flat, (rows + k).ravel(), scratch[: 6 * m * n])
                 else:
-                    # actives never come back, so the first epoch without any is the least
-                    extinct = np.add.reduce(state[m : 2 * m], axis=0) == 0
-                    np.minimum(ext, ptr, out=ext, where=extinct)
-                    np.copyto(active, False, where=extinct)
+                    np.copyto(active, False, where=np.add.reduce(state[m : 2 * m], axis=0) == 0)  # no actives
 
     if not stride:
         return _RunOutput(final=final, ext_epoch=ext_epoch)
@@ -626,6 +649,9 @@ def _chain_setup(
         raise DomainError(f"dt must be positive and finite, got {dt!r}")
     if not np.isfinite(horizon) or horizon < 0:
         raise DomainError(f"horizon must be nonnegative and finite, got {horizon!r}")
+    for name, span in (("horizon", horizon), ("sample_every", dt if sample_every is None else sample_every)):
+        if span / dt > 2.0**53:
+            raise DomainError(f"{name}/dt = {span / dt:.6g} epochs is past 2^53, beyond exact epoch counts")
     n_epochs = int(np.floor(horizon / dt + 1e-9))
     stride = 1 if sample_every is None else _multiple_of(float(sample_every), dt, "sample_every/dt")
     if logistic is not None and logistic.enabled and mode == PAPER_LITERAL:

@@ -218,6 +218,27 @@ def test_invalid_replica_count_exits_2(capsys):
     assert "replicas" in capsys.readouterr().err
 
 
+def test_logistic_sweep_refuses_paper_literal_with_exit_2(tmp_path, capsys):
+    # parse_config and the chain drivers refuse logistic coupling under
+    # paper_literal; the sweep turns the coupling on itself, so it checks too
+    cfg = write_cfg(tmp_path, bundled_config() + "mode = paper_literal\n")
+    out = tmp_path / "sweep.csv"
+    assert main(["logistic-sweep", "--config", cfg, "--k-grid", "60,100", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: logistic coupling needs full mode; paper_literal holds N constant\n"
+    assert not out.exists()
+
+
+def test_an_epoch_count_past_2_to_the_53_exits_2(tmp_path, capsys):
+    # the automatic dt makes about 2e302 epochs: the run is refused before any
+    # round, where the epoch arithmetic used to raise OverflowError
+    cfg = write_cfg(tmp_path, bundled_config() + "horizon = 1e300\nsample_every = 1e300\nstep = 1e300\n")
+    out = tmp_path / "x.csv"
+    assert main(["run-dtmc", "--config", cfg, "--replicas", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: horizon/dt = ")
+    assert "past 2^53" in captured.err and not out.exists()
+
+
 def test_oversized_chain_step_exits_3(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main(["run-dtmc", "--config", "table2", "--out", str(out),

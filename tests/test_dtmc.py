@@ -26,7 +26,7 @@ from diffusim import (
     monte_carlo_mean,
     simulate_replica,
 )
-from diffusim.dtmc import _BATCH_SLOTS, _Engine, _ReplicaSeeds, _run_replicas
+from diffusim.dtmc import _BATCH_SLOTS, _ROW_SUM_SLOTS, _Engine, _ReplicaSeeds, _row_sums, _run_replicas
 from diffusim.errors import DomainError, NumericError, StepSizeError
 
 
@@ -187,6 +187,51 @@ def test_probabilities_of_a_row_do_not_depend_on_its_batch(m, logistic):
             assert got[:m].tolist() == want
 
 
+def running_sum_engines():
+    # 4m rows (no births or deaths), 8m with constant births, 8m under the
+    # logistic coupling, and m = 1 rates whose column (s, a, dd) = (1, 1, 1)
+    # sums 0.5 + 0.25 + 0.25 to exactly 1.0 at dt = 1 and to the floats
+    # either side of 1.0 at the floats either side of 1
+    rng = np.random.default_rng(23)
+    p = ModelParams(m=3, n_total=1000.0, alpha=1.7, b=0.01, d=0.01, rho=0.2, delta=0.03, phi=0.03,
+                    eps=rng.uniform(0.05, 1.0, 3), gamma=rng.uniform(0.05, 1.0, 3))
+    unit = ModelParams(m=1, n_total=4.0, alpha=0.0, b=0.0, d=0.0, rho=0.5, delta=0.25, phi=0.25, eps=1.0, gamma=1.0)
+    logistic = LogisticConfig(enabled=True, growth_rate=0.5, capacity=300.0)
+    return {
+        "4m": (_Engine(p, PAPER_LITERAL, 1e-4, None), None),
+        "8m births": (_Engine(p, FULL, 1e-4, None), None),
+        "8m logistic": (_Engine(p, FULL, 1e-4, logistic), None),
+        **{f"T = {t!r}": (_Engine(unit, FULL, t, None), t)
+           for t in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))},
+    }
+
+
+@pytest.mark.parametrize("case", list(running_sum_engines()))
+def test_running_sums_in_place_row_by_row_equal_accumulate_across_the_crossover(case):
+    # a batch wider than _ROW_SUM_SLOTS sums its rows (and gamma . a) one row
+    # at a time, in place, a constant birth row added as its constant: the
+    # adds of np.add.accumulate, so the bits of a column filled alone, on
+    # either side of the crossover and in every round of one buffer
+    eng, total = running_sum_engines()[case]
+    m = eng.m
+    rng = np.random.default_rng(7)
+    cols = rng.integers(0, 300 if total is None else 3, (3 * m, _ROW_SUM_SLOTS + 1))
+    cols[:, 0] = 1
+    assert eng.n_events == (4 * m if case == "4m" else 8 * m if m > 1 else 4)
+    for width in (_ROW_SUM_SLOTS, _ROW_SUM_SLOTS + 1):
+        state = cols[:, :width]
+        alone = np.column_stack([np.cumsum(eng.probabilities(state[:, r][None, :])[0]) for r in range(width)])
+        p = eng.make_buffers(width)
+        eng.fill_probabilities(state, p)
+        q = np.add.accumulate(p, axis=0)
+        assert q.tobytes() == alone.tobytes()
+        for _ in range(2):  # the second round reads no sum left in a constant row
+            eng.fill_probabilities(state, p)
+            assert _row_sums(p, eng.births).tobytes() == alone.tobytes()
+        if total is not None:
+            assert q[-1, 0] == total
+
+
 # ----------------------------------------------------------- stability bound
 
 
@@ -302,6 +347,25 @@ def test_constant_mode_requires_matching_initial_total():
     bad = DiscreteState(s=np.array([10]), a=np.array([5]), dd=np.array([4]))
     with pytest.raises(DomainError):
         simulate_replica(p, bad, 0.05, 1.0, PAPER_LITERAL, seed=0)
+
+
+@pytest.mark.parametrize("horizon, sample_every, name", [
+    (1e300, None, "horizon"),
+    ((2**53 + 2) * 2.0**-5, None, "horizon"),  # two epochs past 2^53, exactly
+    (1.0, 1e300, "sample_every"),
+])
+def test_epoch_counts_past_2_to_the_53_are_refused_before_any_round(horizon, sample_every, name):
+    # the chain's float epoch pointer is exact only up to 2^53 epochs; past
+    # it a run used to die in its epoch arithmetic or count epochs inexactly
+    p, init = single_group_params(), small_init()  # dt = 2^-5 is stable, and exact
+    dt = 2.0**-5
+    runs = [lambda: simulate_replica(p, init, dt, horizon, PAPER_LITERAL, sample_every=sample_every),
+            lambda: monte_carlo_mean(p, init, dt, horizon, PAPER_LITERAL, n_replicas=2, sample_every=sample_every)]
+    if sample_every is None:
+        runs.append(lambda: extinction_time_stochastic(p, init, dt, horizon, PAPER_LITERAL, n_replicas=2))
+    for run in runs:
+        with pytest.raises(DomainError, match=rf"^{name}/dt = .* epochs is past 2\^53"):
+            run()
 
 
 def test_no_event_creates_actives_from_nothing():
@@ -497,6 +561,29 @@ def test_a_sampled_ensemble_keeps_nothing_per_replica():
 
     small, large = peak(2 * _BATCH_SLOTS), peak(40 * _BATCH_SLOTS)
     assert large <= 1.05 * small, (small, large)
+
+
+def test_a_wide_sampled_batch_peaks_within_its_buffer_layout():
+    # 20,000 m = 1 replicas through _BATCH_SLOTS slots. A slot holds its int64
+    # rid, key, pointer and (s, a, dd), a bool flag, its 4 running sums in
+    # place of its probabilities and 6 int64 of moment scratch: 129 bytes.
+    # The bound, fixed before the run, allows 12 float64 of round temporaries
+    # per slot on top (HEAD's 512-slot layout peaked at about 400 B a slot)
+    layout = (3 + 3) * 8 + 1 + 4 * 8 + 6 * 8
+
+    def run():
+        monte_carlo_mean(single_group_params(), small_init(), 0.05, 1.0, PAPER_LITERAL, n_replicas=20000, seed=5,
+                         sample_every=0.05)
+
+    run()  # numpy's first calls fill caches that would count otherwise
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / _BATCH_SLOTS <= layout + 12 * 8, peak / _BATCH_SLOTS
 
 
 # ----------------------------------------------------------- extinction time

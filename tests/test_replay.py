@@ -543,7 +543,8 @@ def test_errors_name_replicas_by_ensemble_index_across_a_refill():
 
     (fast_events, fast_epoch), (slow_events, slow_epoch) = oracle(34), oracle(1151)
     assert fast_events == 2 and slow_events == 14
-    calm = [(r, events) for r, (events, epoch) in ((r, oracle(r)) for r in range(700)) if epoch is None]
+    # about seven in eight replicas are calm, so 2w of them fill w + 10 places
+    calm = [(r, events) for r, (events, epoch) in ((r, oracle(r)) for r in range(2 * w)) if epoch is None]
     # more than half the first batch finishes within two events, so the
     # first refill comes after round 1 at the latest and takes replica w + 5
     assert sum(events <= 2 for _, events in calm[:w]) > w // 2
