@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, load_config
-from .dtmc import PAPER_LITERAL, _mode_rates, max_stable_dt, monte_carlo_mean, extinction_time_stochastic
+from .dtmc import _check_logistic_mode, _mode_rates, max_stable_dt, monte_carlo_mean, extinction_time_stochastic
 from .errors import ConfigError, DomainError, NumericError
 from .integrate import integrate
 from .model import ModelParams
@@ -173,8 +173,7 @@ def _cmd_extinction_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> list
 
 
 def _cmd_logistic_sweep(cfg: ScenarioConfig, args: argparse.Namespace) -> list[str]:
-    if cfg.mode == PAPER_LITERAL:
-        raise DomainError("logistic coupling needs full mode; paper_literal holds N constant")
+    _check_logistic_mode(cfg.mode, True)  # the sweep turns the coupling on
     params = _resolved_params(cfg)
     m = params.m
     lines = [",".join(["k", "alpha"] + [f"{col}_{i}" for col in ("peak_A", "t_peak") for i in range(1, m + 1)])]

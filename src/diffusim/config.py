@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dtmc import FULL, PAPER_LITERAL, DiscreteState
+from .dtmc import FULL, PAPER_LITERAL, DiscreteState, _check_logistic_mode
 from .errors import ConfigError, DomainError
 from .integrate import IntegrationConfig, _multiple_of
 from .logistic import LogisticConfig
@@ -218,10 +218,9 @@ def parse_config(text: str) -> ScenarioConfig:
             growth_rate=get("logistic.growth_rate"),
             capacity=params.n_total if capacity is None else capacity,
         )
+        _check_logistic_mode(mode, logistic.enabled)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
-    if logistic.enabled and mode == PAPER_LITERAL:
-        raise ConfigError("logistic coupling needs full mode; paper_literal holds N constant")
 
     return ScenarioConfig(
         params=params,

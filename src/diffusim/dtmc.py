@@ -63,9 +63,8 @@ Reproducibility contract, version 2 (v1 drew one PCG64 uniform per epoch):
 A batch advances from event to event, so its cost grows with the events
 rather than the epochs. It is held in column layout, one row per
 compartment or event and one column per replica, so each array operation
-of a round, the two uniforms included, is one pass over the replicas;
-past 256 slots the running sums are formed one row at a time, in place.
-The activation scale gamma . a is the left-to-right sum of the products
+of a round, the two uniforms included, is one pass over the replicas. The
+activation scale gamma . a is the left-to-right sum of the products
 a_i gamma_i, in ufuncs rather than BLAS, so a replica's probabilities, and
 with them its path, have the same bits alone and in a batch of any width.
 """
@@ -113,7 +112,7 @@ _MASK64 = (1 << 64) - 1
 
 # an ensemble streams through a batch of at most this many slots
 _BATCH_SLOTS = 1024
-# past this many slots running sums are formed one contiguous row at a time: np.add.accumulate
+# a batch opened past this many slots forms its running sums one row at a time: np.add.accumulate
 # runs one inner loop per column, slower from 128-256 columns at 4 to 64 rows
 _ROW_SUM_SLOTS = 256
 # event j of a replica hashes seed + (2j + 1) gamma and seed + (2j + 2) gamma:
@@ -313,18 +312,18 @@ class _Engine:
         p[self.n_events - self.births.size :] = self.births[:, None]
         return p
 
-    def fill_probabilities(self, state: np.ndarray, p: np.ndarray) -> None:
+    def fill_probabilities(self, state: np.ndarray, p: np.ndarray, rowwise: bool = False) -> None:
         """Write the event probabilities of the (3m, replicas) ``state`` into ``p``.
 
         ``p`` must come from :meth:`make_buffers` for the same batch size.
-        Activation is ``coef * s_i * scale``; ``scale = gamma . a`` is
-        summed left to right, divided by the replica's population under the
-        logistic coupling, which also sets the death and birth rows from it.
+        Activation is ``coef * s_i * scale``; ``scale = gamma . a`` is summed left
+        to right (row by row if ``rowwise``), divided by the replica's population
+        under the logistic coupling, which also sets the death and birth rows from it.
         """
         m = self.m
         s = state[:m]
         scale = state[m : 2 * m] * self.gamma
-        scale = (np.add.accumulate(scale, axis=0) if state.shape[1] <= _ROW_SUM_SLOTS else _row_sums(scale))[-1]
+        scale = (_row_sums(scale) if rowwise else np.add.accumulate(scale, axis=0))[-1]
         if self.logistic is None:
             coef, death = self.act_const, self.c_death3
         else:
@@ -532,7 +531,7 @@ def _run_replicas(
     # and key[i] (its row read as uint64) is seed + 2j gamma (mod 2^64) before its event j. Every
     # array of a round is the C-contiguous front of a buffer made once, at the batch's widest
     width = min(_BATCH_SLOTS, n_run)
-    wide = width > _ROW_SUM_SLOTS  # a wide batch forms its running sums in place
+    wide = width > _ROW_SUM_SLOTS  # a wide batch forms its running sums row by row, in place
     slots = np.empty((3 + 3 * m) * width, dtype=np.int64)
     flags = np.empty(width, dtype=bool)
     probs = np.empty(eng.n_events * width)
@@ -567,7 +566,7 @@ def _run_replicas(
             q = p if wide else psums[: eng.n_events * n].reshape(-1, n)
             d, work = scratch[: 6 * m * n].reshape(2, 3 * m, n)
             while np.count_nonzero(active) > n // 2:
-                eng.fill_probabilities(state, p)
+                eng.fill_probabilities(state, p, wide)
                 if wide:
                     _row_sums(p, eng.births)
                 else:
@@ -602,8 +601,8 @@ def _run_replicas(
                 np.take(eng.delta, _select(q, x), axis=1, out=d, mode="clip")
                 state += d
                 if stride:
-                    # d to the sums of the event's first sample, new^2 - old^2 = d (2 new - d) to its sums
-                    # of squares: a wide batch adds each half through one (3m, n) index, work's then d's
+                    # d to the sums of the event's first sample, new^2 - old^2 = d (2 new - d) to its squares:
+                    # each half by one (3m, n) index if wide, else by one (6m, n) index, a call fewer and faster
                     k = (ptr + (stride - 1)) // stride * (6 * m)
                     if wide:
                         np.add(rows[: 3 * m], k, out=work)
@@ -654,9 +653,14 @@ def _chain_setup(
             raise DomainError(f"{name}/dt = {span / dt:.6g} epochs is past 2^53, beyond exact epoch counts")
     n_epochs = int(np.floor(horizon / dt + 1e-9))
     stride = 1 if sample_every is None else _multiple_of(float(sample_every), dt, "sample_every/dt")
-    if logistic is not None and logistic.enabled and mode == PAPER_LITERAL:
-        raise DomainError("logistic coupling needs full mode; paper_literal holds N constant")
+    _check_logistic_mode(mode, logistic is not None and logistic.enabled)
     return n_epochs, stride
+
+
+def _check_logistic_mode(mode: str, enabled: bool) -> None:
+    """DomainError if the logistic coupling is ``enabled`` under paper_literal ``mode``."""
+    if enabled and mode == PAPER_LITERAL:
+        raise DomainError("logistic coupling needs full mode; paper_literal holds N constant")
 
 
 def _check_seed(seed: int) -> int:
