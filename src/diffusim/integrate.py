@@ -26,6 +26,8 @@ _CLAMP_BUDGET = 1e-3
 
 def _multiple_of(big: float, small: float, names: str) -> int:
     ratio = big / small
+    if not np.isfinite(ratio):
+        raise DomainError(f"{names} = {ratio!r} is not finite")
     k = int(round(ratio))
     if k < 1 or abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)):
         raise DomainError(f"{names}: {big!r} is not an integer multiple of {small!r}")

@@ -365,16 +365,18 @@ def _kernel(params: ModelParams, logistic=None) -> tuple[Callable, Callable]:
     return ns.pop("flow"), ns.pop("march")
 
 
-def _free_point(params: ModelParams, totals) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """(kept, totals, s*, d*) of :func:`disease_free_equilibrium`, s* and d* unchecked.
+def _free_point(params: ModelParams, totals) -> tuple[np.ndarray, ...]:
+    """(kept, c_num, c_den, s*, d*) of :func:`disease_free_equilibrium`, s* and d* unchecked.
 
-    ``kept`` marks the conserved groups; ``totals`` is zero outside them,
-    or None when there are none.
+    ``kept`` marks the conserved groups (d_i = b_i = 0). Group i rests at
+    the total c_num_i / c_den_i: b_i / d_i, or N_i / 1 for a conserved
+    group, whose total N_i is the i-th entry of ``totals``. Every rest
+    law reads this pair with the real d_i, so a conserved group is its
+    d_i = 0 case.
     """
     kept = params.d == 0
-    if not kept.any():
-        totals = None
-    else:
+    c_num, c_den = params.b, params.d
+    if kept.any():
         grows = np.flatnonzero(kept & (params.b > 0))
         if grows.size:
             raise DomainError(f"group {grows[0] + 1} has d_i = 0 < b_i: it grows without bound, "
@@ -385,25 +387,20 @@ def _free_point(params: ModelParams, totals) -> tuple[np.ndarray, np.ndarray | N
         n = np.asarray(totals, dtype=float)
         if n.shape not in ((), kept.shape):
             raise DomainError(f"totals: expected scalar or length-{params.m} vector, got shape {n.shape}")
-        totals = _state_array("totals", np.where(kept, n, 0.0), params.m)  # other entries are never read
+        c_num = _state_array("totals", np.where(kept, n, params.b), params.m)
+        c_den = np.where(kept, 1.0, params.d)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        denom = params.d * (params.d + params.delta + params.rho)
-        s_star = params.b * (params.d + params.delta) / denom
-        d_star = params.b * params.rho / denom
-        if totals is not None:
-            back = params.delta + params.rho
-            s_star = np.where(kept, totals * (params.delta / back), s_star)
-            d_star = np.where(kept, totals * (params.rho / back), d_star)
-    return kept, totals, s_star, d_star
+        x = c_den * (params.d + params.delta + params.rho)
+        return kept, c_num, c_den, c_num * (params.d + params.delta) / x, c_num * params.rho / x
 
 
 def _r0_terms(params: ModelParams, s_star: np.ndarray) -> tuple[np.ndarray, float]:
     """R0's per-group terms and their sum, unchecked and without numpy's warnings.
 
     Group i adds alpha eps_i gamma_i s*_i / (n_total (d_i + phi_i)) at
-    the disease-free point s*; for a conserved group that is
-    alpha eps_i gamma_i N_i delta_i / (n_total phi_i (delta_i + rho_i))
-    (van den Driessche & Watmough 2002, Math. Biosci. 180:29).
+    the disease-free point s* (van den Driessche & Watmough 2002, Math.
+    Biosci. 180:29); a conserved group is its d_i = 0 case, with s*_i
+    read from its total N_i.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         terms = params.alpha * params.eps * params.gamma * s_star / (params.n_total * (params.d + params.phi))
@@ -413,15 +410,14 @@ def _r0_terms(params: ModelParams, s_star: np.ndarray) -> tuple[np.ndarray, floa
 def disease_free_equilibrium(params: ModelParams, *, totals=None) -> EquilibriumPoint:
     """Closed-form stationary point with no actives.
 
-    With a_i = 0 a group with d_i > 0 rests at
+    With a_i = 0 group i rests at
 
-        s*_i = b_i (d_i + delta_i) / (d_i (d_i + delta_i + rho_i))
-        d*_i = b_i rho_i          / (d_i (d_i + delta_i + rho_i))
+        s*_i = c_i (d_i + delta_i) / (d_i + delta_i + rho_i)
+        d*_i = c_i rho_i          / (d_i + delta_i + rho_i)
 
-    A conserved group (d_i = b_i = 0) splits its total N_i, the i-th
-    entry of ``totals`` (read only for such groups), as
-
-        s*_i = N_i delta_i / (delta_i + rho_i),  d*_i = N_i rho_i / (delta_i + rho_i)
+    where its total c_i is b_i / d_i, or, for a conserved group
+    (d_i = b_i = 0), the i-th entry N_i of ``totals`` (read only for
+    such groups).
 
     Raises:
         DomainError: naming the first group that has d_i = 0 < b_i, that
@@ -430,9 +426,9 @@ def disease_free_equilibrium(params: ModelParams, *, totals=None) -> Equilibrium
         NumericError: naming the group, when s*_i or d*_i is not finite,
             as when the denominator underflows to 0.
     """
-    kept, totals, s_star, d_star = _free_point(params, totals)
-    idle = np.flatnonzero(kept & (params.delta + params.rho == 0)) if totals is not None else ()
-    if len(idle):
+    kept, _, _, s_star, d_star = _free_point(params, totals)
+    idle = np.flatnonzero(kept & (params.delta + params.rho == 0))
+    if idle.size:
         raise DomainError(f"group {idle[0] + 1} keeps its total but has delta_i + rho_i = 0, "
                           "so its disease-free point is not unique")
     if not (np.isfinite(s_star) & np.isfinite(d_star)).all():
@@ -449,37 +445,34 @@ def _check_seed_state(params: ModelParams, seed_state: ContinuousState) -> None:
         raise DomainError("endemic search needs a seed with some active mass")
 
 
-def _tagged(s: np.ndarray, a: np.ndarray, dd: np.ndarray, extinction_threshold: float) -> EquilibriumPoint:
-    kind = "endemic" if float(a.sum()) > extinction_threshold else "disease_free"
+# the active mass above which a rest point is tagged endemic
+_EXTINCTION_THRESHOLD = 1e-3
+
+
+def _tagged(s: np.ndarray, a: np.ndarray, dd: np.ndarray) -> EquilibriumPoint:
+    kind = "endemic" if float(a.sum()) > _EXTINCTION_THRESHOLD else "disease_free"
     return EquilibriumPoint(s_star=s, a_star=a, d_star=dd, kind=kind)
 
 
-def endemic_equilibrium(
-    params: ModelParams,
-    seed_state: ContinuousState,
-    *,
-    extinction_threshold: float = 1e-3,
-) -> EquilibriumPoint:
+def endemic_equilibrium(params: ModelParams, seed_state: ContinuousState) -> EquilibriumPoint:
     """Long-run attractor reached from ``seed_state``, found without integrating.
 
     The force of activation has rank one: with W = gamma . a held fixed,
     group i is activated at the rate lam_i = alpha eps_i W / n_total,
-    and its stationary state follows from W alone. A group with d_i > 0
-    rests at
+    and its stationary state follows from W alone. With its total c_i
+    read as c_num_i / c_den_i, b_i / d_i, or N_i / 1 for a conserved
+    group (d_i = b_i = 0), which keeps its seed total N_i, group i rests at
 
-        s_i  = b_i / (lam_i + d_i + rho_i
-                      - delta_i (phi_i lam_i / (d_i + phi_i) + rho_i) / (d_i + delta_i))
-             = b_i (d_i + delta_i) / (d_i (lam_i (d_i + delta_i + phi_i) / (d_i + phi_i)
-                                          + d_i + delta_i + rho_i))
+        s_i  = c_num_i (d_i + delta_i) / x_i
         a_i  = lam_i s_i / (d_i + phi_i)
-        dd_i = (phi_i a_i + rho_i s_i) / (d_i + delta_i)
+        dd_i = c_num_i (rho_i + phi_i lam_i / (d_i + phi_i)) / x_i
+        x_i  = c_den_i (lam_i (d_i + delta_i + phi_i) / (d_i + phi_i) + d_i + delta_i + rho_i)
 
-    s_i is evaluated in the second form, a sum of positive terms: the
-    first cancels to a relative error near eps / d_i when d_i is small.
-    A conserved group (d_i = b_i = 0) keeps its seed total N_i and rests at
-
-        (s_i, a_i, dd_i) = N_i (phi_i delta_i, lam_i delta_i, (lam_i + rho_i) phi_i) / D_i
-        D_i = phi_i (delta_i + rho_i) + lam_i (delta_i + phi_i)
+    x_i is a sum of positive terms; the form read off the flow,
+    s_i = b_i / (lam_i + d_i + rho_i - delta_i (phi_i lam_i / (d_i + phi_i) + rho_i) / (d_i + delta_i)),
+    cancels to a relative error near eps / d_i when d_i is small. dd_i
+    stays finite at d_i = delta_i = 0, where the flow's own
+    (phi_i a_i + rho_i s_i) / (d_i + delta_i) is 0 / 0.
 
     The rest point solves the scalar equation W = sum_i gamma_i a_i(W).
     The ratio sum_i gamma_i a_i(W) / W falls from R0 at W -> 0, so a
@@ -487,16 +480,14 @@ def endemic_equilibrium(
     Driessche & Watmough 2002, Math. Biosci. 180:29), which is decided
     with the bits of ``r0_rank_one(params, totals=N)``. At R0 <= 1 the
     result is ``disease_free_equilibrium(params, totals=N)``. Above it, W
-    is bisected on (0, sum_i gamma_i c_i], where c_i is b_i / d_i, or N_i
-    for a conserved group, until the midpoint equals an endpoint. The
-    seed enters only through the totals N_i.
+    is bisected on (0, sum_i gamma_i c_i] until the midpoint equals an
+    endpoint. The seed enters only through the totals N_i.
 
     The returned point is tagged endemic when its total active mass
-    exceeds ``extinction_threshold``, disease_free otherwise.
+    exceeds 1e-3, disease_free otherwise.
 
     Raises:
-        DomainError: if ``extinction_threshold`` is negative or not
-            finite; if the seed has no active mass at all; if a group
+        DomainError: if the seed has no active mass at all; if a group
             has d_i = 0 < b_i, since it grows without bound; or if a
             conserved group has phi_i (delta_i + rho_i) = 0, since its
             rest point at W = 0 is not unique. The message names the
@@ -505,23 +496,19 @@ def endemic_equilibrium(
             W -> 0 overflows, or if the rest point is not finite; the
             latter names the first such group, counting from 1.
     """
-    if not 0.0 <= extinction_threshold < math.inf:
-        raise DomainError(f"extinction_threshold must be nonnegative and finite, got {extinction_threshold!r}")
     _check_seed_state(params, seed_state)
-    kept, totals, s_star, _ = _free_point(params, seed_state.s + seed_state.a + seed_state.dd)
+    totals = seed_state.s + seed_state.a + seed_state.dd
+    kept, c_num, c_den, s_star, _ = _free_point(params, totals)
     stuck = np.flatnonzero(kept & (params.phi * (params.delta + params.rho) == 0))
     if stuck.size:
         raise DomainError(f"group {stuck[0] + 1} keeps its total but has phi_i (delta_i + rho_i) = 0, "
                           "so its rest point is not unique")
     if _r0_terms(params, s_star)[1] <= 1.0:
         return disease_free_equilibrium(params, totals=totals)
-    totals = np.zeros(params.m) if totals is None else totals
-    # a conserved group sees d = 1 and b = 0 below; np.where replaces its terms
-    d = np.where(kept, 1.0, params.d)
     # an overflowing bracket or ratio is refused below, without numpy's warnings first
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = _activation_ratio(params, totals)
-        hi = float(np.sum(params.gamma * np.where(kept, totals, params.b) / d))
+        ratio = _activation_ratio(params, c_num, c_den)
+        hi = float(np.sum(params.gamma * c_num / c_den))
     # the ratio falls in W, so its W -> 0 limit bounds every value the bisection
     # reads; every rest_i > 0, so an infinite or nan limit can only be an overflow
     top = ratio(0.0)
@@ -536,41 +523,34 @@ def endemic_equilibrium(
             lo = w
         else:
             hi = w
-    rho, delta, phi = params.rho, params.delta, params.phi
+    d, rho, delta, phi = params.d, params.rho, params.delta, params.phi
     # a point that is not finite is refused below, without numpy's warnings first
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lam = params.alpha * params.eps * w / params.n_total
-        s = params.b * (d + delta) / (d * (lam * (d + delta + phi) / (d + phi) + d + delta + rho))
+        x = c_den * (lam * (d + delta + phi) / (d + phi) + d + delta + rho)
+        s = c_num * (d + delta) / x
         a = lam * s / (d + phi)
-        dd = (phi * a + rho * s) / (d + delta)
-        big_d = np.where(kept, phi * (delta + rho) + lam * (delta + phi), 1.0)
-        s = np.where(kept, totals * phi * delta / big_d, s)
-        a = np.where(kept, totals * lam * delta / big_d, a)
-        dd = np.where(kept, totals * (lam + rho) * phi / big_d, dd)
+        dd = c_num * (rho + phi * lam / (d + phi)) / x
     bad = np.flatnonzero(~(np.isfinite(s) & np.isfinite(a) & np.isfinite(dd)))
     if bad.size:
         i = bad[0]
         raise NumericError(f"rest point of group {i + 1} is not finite: s = {s[i]}, a = {a[i]}, dd = {dd[i]} "
                            f"(activation rate alpha eps_i W / n_total = {lam[i]})")
-    return _tagged(s, a, dd, extinction_threshold)
+    return _tagged(s, a, dd)
 
 
-def _activation_ratio(params: ModelParams, totals: np.ndarray) -> Callable[[float], float]:
-    """W -> sum_i gamma_i a_i(W) / W, given the ``totals`` N_i of the conserved groups.
+def _activation_ratio(params: ModelParams, c_num: np.ndarray, c_den: np.ndarray) -> Callable[[float], float]:
+    """W -> sum_i gamma_i a_i(W) / W, given each group's rest total c_num_i / c_den_i.
 
     a_i(W) is group i's stationary activity when W = gamma . a is held
     fixed (see :func:`endemic_equilibrium`). Each term has the form
     num_i / (grow_i W + rest_i), so the ratio falls in W, from R0 at
     W = 0 in exact arithmetic; :func:`_r0_terms` gives R0's bits.
     """
-    kept = params.d == 0
-    rho, delta, phi = params.rho, params.delta, params.phi
-    # a conserved group sees d = 1 and b = 0 here; np.where picks its own terms
-    d = np.where(kept, 1.0, params.d)
+    d, rho, delta, phi = params.d, params.rho, params.delta, params.phi
     c = params.alpha * params.eps / params.n_total
-    num = np.where(kept, params.gamma * c * totals * delta,
-                   params.gamma * c * params.b * (d + delta) / (d * (d + phi)))
-    grow = np.where(kept, c * (delta + phi), c * (d + delta + phi) / (d + phi))
-    rest = np.where(kept, phi * (delta + rho), d + delta + rho)
+    num = params.gamma * c * c_num * (d + delta) / (c_den * (d + phi))
+    grow = c * (d + delta + phi) / (d + phi)
+    rest = d + delta + rho
     terms = list(zip(num.tolist(), grow.tolist(), rest.tolist()))
     return lambda w: sum(n / (g * w + r) for n, g, r in terms)

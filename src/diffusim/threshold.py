@@ -14,10 +14,10 @@ here, and the endemic point's R0 <= 1 decision, takes r0 from that
 closed form (``model._r0_terms``); the tests check it against power
 iteration and dense eigenvalues.
 
-A conserved group (d_i = b_i = 0, as on paper_literal's rates) rests at
-s*_i = N_i delta_i / (delta_i + rho_i) for its total N_i. Every entry
-point takes the totals as the keyword ``totals``; without them such a
-group raises DomainError naming it.
+A conserved group (d_i = b_i = 0, as on paper_literal's rates) is the
+d_i = 0 case of the same term, with s*_i read from its total N_i. Every
+entry point takes the totals as the keyword ``totals``; without them
+such a group raises DomainError naming it.
 """
 
 from __future__ import annotations

@@ -147,7 +147,6 @@ def march_equilibrium(
     tol: float = 1e-9,
     horizon: float = 2e4,
     step: float = 0.05,
-    extinction_threshold: float = 1e-3,
 ):
     """The point an RK4 march from ``seed_state`` comes to rest at: the
     oracle for the closed-form ``endemic_equilibrium``.
@@ -189,7 +188,7 @@ def march_equilibrium(
             last_state=last,
         )
     y = np.array(y)
-    return _tagged(y[:m], y[m : 2 * m], y[2 * m :], extinction_threshold)
+    return _tagged(y[:m], y[m : 2 * m], y[2 * m :])
 
 
 def spectral_radius(k: np.ndarray, *, tol: float = 1e-12, max_iter: int = 10000) -> float:

@@ -368,6 +368,17 @@ def test_epoch_counts_past_2_to_the_53_are_refused_before_any_round(horizon, sam
             run()
 
 
+@pytest.mark.parametrize("sample_every", [math.nan, -math.inf])
+def test_a_non_finite_sample_every_is_refused_by_name(sample_every):
+    # both pass the 2^53 check; rounding the ratio used to raise a bare
+    # ValueError for nan and an OverflowError for -inf
+    p, init, dt = single_group_params(), small_init(), 2.0**-5
+    for run in (lambda: simulate_replica(p, init, dt, 1.0, PAPER_LITERAL, sample_every=sample_every),
+                lambda: monte_carlo_mean(p, init, dt, 1.0, PAPER_LITERAL, n_replicas=2, sample_every=sample_every)):
+        with pytest.raises(DomainError, match=rf"^sample_every/dt = {sample_every!r} is not finite$"):
+            run()
+
+
 def test_no_event_creates_actives_from_nothing():
     # an extinct chain stays extinct in both modes, even with births
     p = ModelParams(m=2, n_total=40.0, alpha=3.0, b=0.2, d=0.05, rho=0.1,

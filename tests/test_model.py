@@ -392,7 +392,7 @@ def test_activation_ratio_at_zero_is_the_rank_one_r0():
     rng = np.random.default_rng(29)
     for _ in range(200):
         p = random_params(rng, int(rng.integers(1, 9)))
-        assert _activation_ratio(p, np.zeros(p.m))(0.0) == pytest.approx(r0_rank_one(p), rel=1e-13)
+        assert _activation_ratio(p, p.b, p.d)(0.0) == pytest.approx(r0_rank_one(p), rel=1e-13)
 
 
 def test_group_without_births_rests_empty():
@@ -419,9 +419,8 @@ def test_rest_point_just_above_threshold_grows_with_the_excess():
         p = base.with_alpha(calibrate_alpha(base, 1.0 + excess))
         eq = endemic_equilibrium(p, seed)
         assert np.all(eq.a_star > 0)
-        # below extinction_threshold, the point is tagged as by the march
+        # below an active mass of 1e-3, the point is tagged as by the march
         assert eq.kind == "disease_free"
-        assert endemic_equilibrium(p, seed, extinction_threshold=0.0).kind == "endemic"
         assert max_residual(p, eq) <= 1e-15 * float(flat_point(eq).max())
         masses.append(float(eq.a_star.sum()))
     assert masses[1] / masses[0] == pytest.approx(2.0, rel=1e-4)
@@ -447,16 +446,6 @@ def test_closed_form_route_refuses_an_overflowing_bracket():
     seed = ContinuousState(t=0.0, s=[1.0], a=[1.0], dd=[0.0])
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="not finite"):
         endemic_equilibrium(p, seed)
-
-
-@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
-def test_extinction_threshold_must_be_finite_and_nonnegative(threshold):
-    # accepted, nan and inf would tag this 0.62-active point disease_free, and -1 any point endemic
-    base = two_group_params()
-    p = base.with_alpha(calibrate_alpha(base, 2.3))
-    assert float(endemic_equilibrium(p, seeded_state(p)).a_star.sum()) == pytest.approx(0.62, abs=0.01)
-    with pytest.raises(DomainError, match="extinction_threshold must be nonnegative and finite"):
-        endemic_equilibrium(p, seeded_state(p), extinction_threshold=threshold)
 
 
 def test_endemic_point_below_threshold_equals_the_dfe():
@@ -549,8 +538,9 @@ def assert_matches_the_march(p: ModelParams, seed: ContinuousState) -> None:
     gap = float(np.abs(y - x).max())
     assert gap <= totals_march_bound(p, y, x, 1e-12), gap
     assert max_residual(p, eq) <= 1e-12 * float(y.max())
-    assert _activation_ratio(p, seed_totals(p, seed))(0.0) == pytest.approx(
-        threshold_at_seed(p, seed), rel=1e-13)
+    kept = p.d == 0
+    ratio = _activation_ratio(p, np.where(kept, seed_totals(p, seed), p.b), np.where(kept, 1.0, p.d))
+    assert ratio(0.0) == pytest.approx(threshold_at_seed(p, seed), rel=1e-13)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -603,6 +593,24 @@ def test_conserved_route_refuses_an_overflowing_bracket():
     eq = endemic_equilibrium(replace(p, delta=0.0), seed)
     assert eq.kind == "disease_free"
     np.testing.assert_allclose(flat_point(eq), [0.0, 0.0, 1e308], rtol=1e-15)
+
+
+def test_conserved_group_without_returns_ends_deactivated_above_threshold():
+    # group 1 (table2's rates at a total of 100) carries R0 = 2.3; group 2 keeps
+    # its total of 50 with delta_2 = 0, so it rests at (0, 0, 50), where the
+    # flow's (phi a + rho s) / (d + delta) for dd is 0 / 0
+    base = two_group_params()
+    p = ModelParams(m=2, n_total=100.0, alpha=1.0, b=[1.0, 0.0], d=[0.01, 0.0], rho=base.rho,
+                    delta=[0.03, 0.0], phi=base.phi, eps=base.eps, gamma=base.gamma)
+    seed = demo_state()
+    p = p.with_alpha(calibrate_alpha(p, 2.3, totals=seed_totals(p, seed)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eq = endemic_equilibrium(p, seed)
+    assert eq.kind == "endemic" and np.isfinite(flat_point(eq)).all()
+    assert eq.s_star[1] == eq.a_star[1] == 0.0
+    assert eq.d_star[1] == pytest.approx(50.0, rel=1e-15)
+    assert_matches_the_march(p, seed)
 
 
 def test_overflowing_threshold_ratio_is_refused():

@@ -15,6 +15,7 @@ from diffusim import (
     calibrate_alpha,
     disease_free_equilibrium,
     endemic_equilibrium,
+    load_config,
     r0_rank_one,
 )
 from diffusim.errors import DiffusionError, DomainError, NumericError
@@ -112,6 +113,17 @@ def test_calibration_frozen_value_and_round_trip():
     alpha = calibrate_alpha(p, 1.4)
     assert alpha == pytest.approx(57.93103448275862, rel=1e-14)
     assert r0_rank_one(p.with_alpha(alpha)) == pytest.approx(1.4, rel=1e-12)
+
+
+def test_table2_free_point_r0_and_alpha_keep_their_bits():
+    # the CLI's calibrated chains start from these bits; the values are pinned
+    # exactly, so that a rewrite of the closed forms cannot move them unseen
+    p = load_config("table2").params
+    dfe = disease_free_equilibrium(p)
+    assert [x.hex() for x in dfe.s_star.tolist()] == ["0x1.5555555555555p-3"] * 2
+    assert [x.hex() for x in dfe.d_star.tolist()] == ["0x1.aaaaaaaaaaaaap-1"] * 2
+    assert r0_rank_one(p).hex() == build_decomposition(p).r0.hex() == "0x1.8bf258bf258bfp-6"
+    assert calibrate_alpha(p, 1.4).hex() == "0x1.cf72c234f72c2p+5"
 
 
 def test_calibration_round_trips_on_random_draws():
