@@ -63,7 +63,10 @@ Reproducibility contract, version 2 (v1 drew one PCG64 uniform per epoch):
 A batch advances from event to event, so its cost grows with the events
 rather than the epochs. It is held in column layout, one row per
 compartment or event and one column per replica, so each array operation
-of a round, the two uniforms included, is one pass over the replicas. The
+of a round is one pass over the replicas. Every running replica fires one
+event per round, so the uniforms of its next events are known ahead: a
+batch of at most 256 slots hashes those of 16 events at once, in one pass
+with their log1p(-u), and a wider one those of a single event. The
 activation scale gamma . a is the left-to-right sum of the products
 a_i gamma_i, in ufuncs rather than BLAS, so a replica's probabilities, and
 with them its path, have the same bits alone and in a batch of any width.
@@ -115,10 +118,14 @@ _BATCH_SLOTS = 1024
 # a batch opened past this many slots forms its running sums one row at a time: np.add.accumulate
 # runs one inner loop per column, slower from 128-256 columns at 4 to 64 rows
 _ROW_SUM_SLOTS = 256
-# event j of a replica hashes seed + (2j + 1) gamma and seed + (2j + 2) gamma:
-# its key seed + 2j gamma plus this column, after which the key moves on by _KEY_STEP
-_PAIR = np.array([[_GOLDEN], [(2 * _GOLDEN) & _MASK64]], dtype=np.uint64)
-_KEY_STEP = np.uint64((2 * _GOLDEN) & _MASK64)
+# a narrow batch hashes the uniforms of this many events per slot at once, a wide one those of one
+_AHEAD = 16
+# event j of a replica hashes seed + (2j + 1) gamma and seed + (2j + 2) gamma, so from the key
+# seed + 2j gamma event j + l hashes the key plus _AHEAD_WORDS[:, l]; _KEY_STEPS[k] is k events' 2k gamma
+# (uint64 arrays: numpy's uint64 scalars warn where they wrap)
+_AHEAD_WORDS = np.array([[[(k * _GOLDEN) & _MASK64] for k in range(g, 2 * _AHEAD + 1, 2)] for g in (1, 2)],
+                        dtype=np.uint64)
+_KEY_STEPS = np.array([(2 * k * _GOLDEN) & _MASK64 for k in range(_AHEAD + 1)], dtype=np.uint64)
 _MIX_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 _MIX_MULS = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 _U53_SHIFT = np.uint64(11)
@@ -291,16 +298,33 @@ class _Engine:
         self.n_events = 8 * m if logistic is not None or b.any() or d.any() else 4 * m
         self.delta = _delta_tables(m, self.n_events)
         self.gamma = params.gamma[:, None]
-        # activation: prob = alpha*eps_i*(gamma . a)/den * s_i * dt, with
-        # den = n_total (constant coupling) or the replica population (logistic)
-        self.act_num = (params.alpha * dt * params.eps)[:, None]
-        self.act_const = self.act_num / params.n_total
-        self.c_withd = (rates["rho"] * dt)[:, None]
-        # deactivate and return rows line up with the (a, dd) rows of the
-        # state, the death rows with all of them, so each is one multiply
-        self.c_mid = np.concatenate([rates["phi"] * dt, params.delta * dt])[:, None]
-        self.c_death3 = (np.concatenate([d, d, d]) * dt)[:, None]
-        self.births = b * dt if self.n_events > 4 * m and logistic is None else np.empty(0)  # constant rows
+        lg = (0.0, 1.0) if logistic is None else (logistic.growth_rate, logistic.capacity)
+        # a coefficient that overflows is refused below, without numpy's warnings first
+        with np.errstate(over="ignore", invalid="ignore"):
+            # activation: prob = alpha*eps_i*(gamma . a)/den * s_i * dt, with
+            # den = n_total (constant coupling) or the replica population (logistic)
+            self.act_num = (params.alpha * dt * params.eps)[:, None]
+            self.act_const = self.act_num / params.n_total
+            self.c_withd = (rates["rho"] * dt)[:, None]
+            # deactivate and return rows line up with the (a, dd) rows of the
+            # state, the death rows with all of them, so each is one multiply
+            self.c_mid = np.concatenate([rates["phi"] * dt, params.delta * dt])[:, None]
+            self.c_death3 = (np.concatenate([d, d, d]) * dt)[:, None]
+            births = b * dt
+            # the logistic death and birth rows are these times the replica's population
+            r_dt = np.float64(lg[0]) * dt
+            self.lg_death, self.lg_birth = r_dt / lg[1], r_dt / m
+        named = (("alpha * dt * eps_{}", self.act_num), ("alpha * dt * eps_{} / n_total", self.act_const),
+                 ("phi_{} * dt", self.c_mid[:m]), ("delta_{} * dt", self.c_mid[m:]), ("rho_{} * dt", self.c_withd),
+                 ("d_{} * dt", self.c_death3[:m]), ("b_{} * dt", births),
+                 ("growth_rate * dt / capacity", self.lg_death), ("growth_rate * dt / m", self.lg_birth))
+        values = np.concatenate([np.ravel(coef) for _, coef in named])
+        finite = np.isfinite(values)
+        if not finite.all():  # name the first, counting groups from 1
+            k = int(np.argmin(finite))
+            name = [name.format(i + 1) for name, coef in named for i in range(np.size(coef))][k]
+            raise NumericError(f"event coefficient {name} = {float(values[k])!r} is not finite")
+        self.births = births if self.n_events > 4 * m and logistic is None else np.empty(0)  # constant rows
 
     def make_buffers(self, r: int, flat: np.ndarray | None = None) -> np.ndarray:
         """Probability buffer, one row per event, for an r-replica batch: new, or the front of ``flat``.
@@ -327,12 +351,11 @@ class _Engine:
         if self.logistic is None:
             coef, death = self.act_const, self.c_death3
         else:
-            lg = self.logistic
             total = state.sum(axis=0).astype(float)
             scale /= np.where(total > 0, total, 1.0)  # rates all vanish at N = 0
             coef = self.act_num
-            death = (lg.growth_rate * self.dt / lg.capacity) * total
-            p[7 * m :] = (lg.growth_rate * self.dt / m) * total
+            death = self.lg_death * total
+            p[7 * m :] = self.lg_birth * total
         np.multiply(s, coef, out=p[:m])
         p[:m] *= scale
         np.multiply(state[m:], self.c_mid, out=p[m : 3 * m])
@@ -376,9 +399,10 @@ def event_probabilities(params: ModelParams, state: DiscreteState, dt: float, mo
     if state.m != params.m:
         raise DomainError(f"state has {state.m} groups, params expect {params.m}")
     eng = _Engine(params, mode, dt, None)
-    row = eng.probabilities(np.concatenate([state.s, state.a, state.dd])[None, :])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan total is refused below
+        row = eng.probabilities(np.concatenate([state.s, state.a, state.dd])[None, :])[0]
     total = float(np.cumsum(row)[-1])
-    if total > 1.0:
+    if not total <= 1.0:  # nan too
         raise StepSizeError(f"summed event probability {total:.6g} > 1; decrease dt")
     events = canonical_events(params.m, mode)
     # full mode's death and birth entries are zeros where the engine leaves them out
@@ -478,16 +502,24 @@ def _run_replicas(
     """Advance an ensemble from event to event, two uniforms per event.
 
     Each replica runs in a slot, a column of every array of the round, with
-    an epoch pointer and the key of its next uniforms. A round fills the
-    event probabilities of every slot, draws its gap and choice uniforms
-    (see the module docstring), moves the pointer to the epoch of the next
-    event and applies it; a slot that does not fire applies the zero
-    no_event column. A replica whose next event falls past ``n_epochs`` is
-    finished. The batch holds at most ``_BATCH_SLOTS`` slots; once half of
-    them are finished they are dropped and the next replicas, in index
-    order, take their places, so the batch shrinks only when none are
-    left. Slots stay in replica order. Samples are recorded as per-sample
-    differences and summed at the end.
+    an epoch pointer and the key of its uniforms. A round fills the event
+    probabilities of every slot, reads its gap and choice uniforms (see the
+    module docstring), moves the pointer to the epoch of the next event and
+    applies it; a slot that does not fire applies the zero no_event column.
+    A replica whose next event falls past ``n_epochs`` is finished. The
+    batch holds at most ``_BATCH_SLOTS`` slots; once half of them are
+    finished they are dropped and the next replicas, in index order, take
+    their places, so the batch shrinks only when none are left. Slots stay
+    in replica order. Samples are recorded as per-sample differences and
+    summed at the end.
+
+    A running slot fires in every round, so a batch of at most
+    ``_ROW_SUM_SLOTS`` slots hashes the uniforms of its slots' next
+    ``_AHEAD`` events in one block, a wider batch those of one event, and
+    every key moves past the block at once. Dropping the finished slots
+    rewinds the kept slots' keys by the events of the block they did not
+    reach and opens a new block, so event j still reads the words 2j + 1
+    and 2j + 2.
 
     ``stride`` chooses the run. With ``stride > 0`` every replica runs all
     ``n_epochs`` and the state is sampled every ``stride`` epochs, as the
@@ -527,21 +559,26 @@ def _run_replicas(
         ext_epoch = np.full(n_rep, 0 if extinct0 else -1)
         final = (n_rep - n_run) * start
 
-    # slot i, column i of ``cols``, runs replica rid[i] from state[:, i]; ptr[i] epochs are simulated
-    # and key[i] (its row read as uint64) is seed + 2j gamma (mod 2^64) before its event j. Every
+    # slot i, column i of ``cols``, runs replica rid[i] from state[:, i]; ptr[i] epochs are simulated.
+    # key[i] (its row read as uint64) is seed + 2j gamma (mod 2^64) before the event j that opens the
+    # last block of uniforms, plus the block's ``ahead`` events, of which ``used`` are spent. Every
     # array of a round is the C-contiguous front of a buffer made once, at the batch's widest
     width = min(_BATCH_SLOTS, n_run)
     wide = width > _ROW_SUM_SLOTS  # a wide batch forms its running sums row by row, in place
+    ahead = 1 if wide else _AHEAD
     slots = np.empty((3 + 3 * m) * width, dtype=np.int64)
     flags = np.empty(width, dtype=bool)
     probs = np.empty(eng.n_events * width)
     psums = None if wide else np.empty_like(probs)
     scratch = np.empty(6 * m * width, dtype=np.int64)  # d and work below
+    block = np.empty(2 * ahead * width, dtype=np.uint64)  # the (gap, choice) uniforms of the next events
     taken = n = 0  # replicas [taken, n_run) wait for a slot
+    used = ahead
     cols, active = np.empty((3 + 3 * m, 0), dtype=np.int64), flags[:0]
 
-    # log1p(-T) is -0.0 at T = 0 and -inf at T = 1; a finished slot's T may exceed 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # log1p(-T) is -0.0 at T = 0 and -inf at T = 1; a finished slot's T may exceed 1, and a
+    # running slot's T that overflows or is nan (inf * 0) is refused below, without warnings first
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
             # half the slots are finished (none at the start): write them
             # back, drop them and give their places to the next replicas
@@ -557,6 +594,11 @@ def _run_replicas(
             slots[: (3 + 3 * m) * n].reshape(-1, n)[:, :kept] = cols[:, active]
             cols, active = slots[: (3 + 3 * m) * n].reshape(-1, n), flags[:n]
             rid, key, ptr, state = cols[0], cols[1].view(np.uint64), cols[2], cols[3:]
+            # every running slot fired once in each round of the block: its key goes back to its next event
+            key[:kept] -= _KEY_STEPS[ahead - used]
+            used = ahead
+            uv = block[: 2 * ahead * n].reshape(2, ahead, n)
+            neg_uv = uv.view(np.float64)  # once hashed, log1p(-u) and -v: a power-of-two scale is exact
             rid[kept:] = np.arange(taken, taken + new)
             key[kept:] = seeds[taken : taken + new]
             cols[2:, kept:] = np.concatenate([[0], start])[:, None]
@@ -572,32 +614,37 @@ def _run_replicas(
                 else:
                     np.add.accumulate(p, axis=0, out=q)
                 total = q[-1]
-                if np.maximum.reduce(total, where=active, initial=0.0) > 1.0:
-                    i = int(np.argmax(active & (total > 1.0)))  # the lowest replica: slots are in order
+                if not np.maximum.reduce(total, where=active, initial=0.0) <= 1.0:  # nan too
+                    i = int(np.argmax(active & ~(total <= 1.0)))  # the lowest replica: slots are in order
                     raise StepSizeError(
                         f"summed event probability {total[i]:.6g} > 1 for replica "
                         f"{int(rid[i])} at epoch {int(ptr[i])} "
                         f"(t = {int(ptr[i]) * dt:g}); decrease dt"
                     )
-                # -u and -v bit for bit: a power-of-two scale is exact
-                neg_uv = _mix64(key + _PAIR)
-                neg_uv >>= _U53_SHIFT
-                neg_uv = neg_uv * -(2.0**-53)
+                if used == ahead:  # hash the gap and choice uniforms of the next ``ahead`` events
+                    np.add(key, _AHEAD_WORDS[:, :ahead], out=uv)
+                    _mix64(uv)
+                    uv >>= _U53_SHIFT
+                    np.multiply(uv, -(2.0**-53), out=neg_uv)
+                    np.log1p(neg_uv[0], out=neg_uv[0])
+                    key += _KEY_STEPS[ahead]
+                    used = 0
+                log_u, neg_v = neg_uv[0, used], neg_uv[1, used]
+                used += 1
                 neg_total = -total
                 # the epoch of the next event; inf or nan (T = 0) never fires
-                nxt = ptr + np.maximum(np.ceil(np.log1p(neg_uv[0]) / np.log1p(neg_total)), 1.0)
+                nxt = ptr + np.maximum(np.ceil(log_u / np.log1p(neg_total)), 1.0)
                 fires = nxt <= n_epochs
                 fires &= active
                 np.less(nxt, n_epochs, out=active, where=active)  # an event in the last epoch ends the run
                 np.copyto(ptr, nxt, where=fires, casting="unsafe")
                 del nxt
-                np.add(key, _KEY_STEP, out=key, where=fires)
                 # x = v T = (-v)(-T), capped below T: q <= the float before T iff
                 # q < T, so x == T selects the last event of positive probability;
                 # a slot that does not fire reads x = inf, no_event. Every event
                 # index is in range, so take need not check it
-                x = np.where(fires, np.minimum(neg_uv[1] * neg_total, np.nextafter(total, 0.0)), np.inf)
-                del neg_uv, neg_total  # freed before the selection, where a wide batch peaks
+                x = np.where(fires, np.minimum(neg_v * neg_total, np.nextafter(total, 0.0)), np.inf)
+                del neg_total  # freed before the selection, where a wide batch peaks
                 np.take(eng.delta, _select(q, x), axis=1, out=d, mode="clip")
                 state += d
                 if stride:
@@ -831,9 +878,10 @@ def _exact_kernel(params: ModelParams, n: int, dt: float) -> tuple[np.ndarray, n
     s = np.repeat(np.arange(n + 1, dtype=np.int64), np.arange(n + 1, 0, -1))
     a = np.arange(s.size, dtype=np.int64) - _simplex_index(n, s, 0)
     eng = _Engine(params, PAPER_LITERAL, dt, None)
-    prob = eng.probabilities(np.column_stack([s, a, n - s - a]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan total is refused below
+        prob = eng.probabilities(np.column_stack([s, a, n - s - a]))
     total = np.cumsum(prob, axis=1)[:, -1].copy()  # a copy, so the running sums are freed
-    over = np.flatnonzero(total > 1.0)
+    over = np.flatnonzero(~(total <= 1.0))  # nan too
     if over.size:
         raise StepSizeError(f"summed event probability {float(total[over[0]]):.6g} > 1; decrease dt")
 

@@ -487,17 +487,22 @@ def endemic_equilibrium(params: ModelParams, seed_state: ContinuousState) -> Equ
     exceeds 1e-3, disease_free otherwise.
 
     Raises:
-        DomainError: if the seed has no active mass at all; if a group
-            has d_i = 0 < b_i, since it grows without bound; or if a
-            conserved group has phi_i (delta_i + rho_i) = 0, since its
-            rest point at W = 0 is not unique. The message names the
-            first such group, counting from 1.
+        DomainError: if the seed has no active mass at all, or a group
+            total s_i + a_i + dd_i that overflows; if a group has
+            d_i = 0 < b_i, since it grows without bound; or if a conserved
+            group has phi_i (delta_i + rho_i) = 0, since its rest point at
+            W = 0 is not unique. The message names the first such group,
+            counting from 1.
         NumericError: if the bracket sum_i gamma_i c_i or the ratio at
             W -> 0 overflows, or if the rest point is not finite; the
             latter names the first such group, counting from 1.
     """
     _check_seed_state(params, seed_state)
-    totals = seed_state.s + seed_state.a + seed_state.dd
+    with np.errstate(over="ignore"):  # an overflowing total is refused below, without numpy's warning first
+        totals = seed_state.s + seed_state.a + seed_state.dd
+    over = np.flatnonzero(totals == np.inf)
+    if over.size:
+        raise DomainError(f"seed group {over[0] + 1}: its total s + a + dd overflows to inf")
     kept, c_num, c_den, s_star, _ = _free_point(params, totals)
     stuck = np.flatnonzero(kept & (params.phi * (params.delta + params.rho) == 0))
     if stuck.size:

@@ -279,6 +279,17 @@ def test_an_overflowing_stability_bound_exits_3_naming_it(tmp_path, capsys, rate
     assert captured.err.startswith(f"error: total event rate bound {bound} is too large for a stable epoch length")
 
 
+def test_an_overflowing_event_coefficient_exits_3_naming_it(tmp_path, capsys):
+    # alpha dt eps overflows beside gamma = 0: with --dt given this used to
+    # exit 0, its t = 0 row reading 0,2,1 for a chain that starts at (1, 1, 1)
+    cfg = write_cfg(tmp_path, "m = 1\nn_total = 3\nalpha = 1e300\nb = 0\nd = 0\nrho = 0.1\ndelta = 0.1\n"
+                              "phi = 0.1\neps = 1e10\ngamma = 0\ns0 = 1\na0 = 1\nd0 = 1\nhorizon = 1\n")
+    assert main(["run-dtmc", "--config", cfg, "--replicas", "2", "--dt", "0.1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: event coefficient alpha * dt * eps_1 = inf is not finite")
+
+
 def test_negative_logistic_stage_exits_3(tmp_path, capsys):
     # table2 rates at R0 4.9 with a step of 0.1 and strong logistic turnover:
     # an RK4 stage population goes negative, which is a step-size failure

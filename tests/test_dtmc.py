@@ -276,6 +276,48 @@ def test_an_overflowing_stability_bound_is_refused_naming_it(rates, match):
         max_stable_dt(p, 10)
 
 
+# alpha dt eps overflows to inf beside gamma = 0, so activation was inf * 0 =
+# nan, which passed every "> 1" check: the chain fired activation from a = 1
+# at the first epoch, event_probabilities returned nan entries and
+# exact_propagation failed in np.bincount
+NAN_ACTIVATION = dict(m=1, n_total=3.0, alpha=1e300, b=0.0, d=0.0, rho=0.1, delta=0.1, phi=0.1, eps=1e10,
+                      gamma=0.0)
+CHAIN_CALLS = {
+    "simulate_replica": lambda p, init: simulate_replica(p, init, 0.1, 2.0),
+    "monte_carlo_mean": lambda p, init: monte_carlo_mean(p, init, 0.1, 2.0, n_replicas=200),
+    "extinction_time_stochastic": lambda p, init: extinction_time_stochastic(p, init, 0.1, 2.0),
+    "event_probabilities": lambda p, init: event_probabilities(p, init, 0.1, FULL),
+    "exact_propagation": lambda p, init: exact_propagation(p, init, 0.1, 3),
+}
+
+
+@pytest.mark.parametrize("call", CHAIN_CALLS.values(), ids=CHAIN_CALLS.keys())
+def test_an_overflowing_event_coefficient_is_refused_naming_it(call):
+    with pytest.raises(NumericError, match=r"^event coefficient alpha \* dt \* eps_1 = inf is not finite$"):
+        call(ModelParams(**NAN_ACTIVATION), DiscreteState(s=[1], a=[1], dd=[1]))
+
+
+@pytest.mark.parametrize("rates, logistic, match", [
+    (dict(m=2, rho=[0.1, 1e308]), None, r"rho_2 \* dt = inf"),
+    (dict(b=[0.0, 1e308]), None, r"b_2 \* dt = inf"),
+    ({}, LogisticConfig(enabled=True, growth_rate=1e308, capacity=0.5), r"growth_rate \* dt / capacity = inf"),
+], ids=["withdraw_2", "birth_2", "logistic"])
+def test_the_first_overflowing_coefficient_is_named_with_its_group(rates, logistic, match):
+    p = ModelParams(**{**NAN_ACTIVATION, "m": 2, "alpha": 1.0, "eps": 1.0, **rates})
+    init = DiscreteState(s=np.ones(p.m), a=np.ones(p.m), dd=np.ones(p.m))
+    with pytest.raises(NumericError, match=rf"^event coefficient {match} is not finite$"):
+        simulate_replica(p, init, 10.0, 20.0, logistic=logistic)
+
+
+@pytest.mark.parametrize("call", CHAIN_CALLS.values(), ids=CHAIN_CALLS.keys())
+def test_a_nan_summed_probability_is_refused(call):
+    # finite coefficients, but gamma . a overflows beside s = 0, so activation
+    # is inf * 0 = nan again, now inside a round
+    p = ModelParams(**{**NAN_ACTIVATION, "alpha": 1.0, "eps": 1.0, "gamma": 1e308})
+    with pytest.raises(StepSizeError, match=r"^summed event probability nan > 1"):
+        call(p, DiscreteState(s=[0], a=[2], dd=[1]))
+
+
 @pytest.mark.parametrize("capacity", [60.0, 150.0])
 def test_logistic_stability_bound_keeps_the_cli_ceiling(capacity):
     # the formula the CLI used for logistic scenarios before the bound moved
@@ -578,10 +620,10 @@ def test_a_wide_sampled_batch_peaks_within_its_buffer_layout():
     # 20,000 m = 1 replicas through _BATCH_SLOTS slots. A slot holds its int64
     # rid, key, pointer and (s, a, dd), a bool flag, its 4 running sums in
     # place of its probabilities and 6 int64 of moment scratch: 129 bytes.
-    # A round's temporaries (uniforms, next epochs, event indices and numpy's
-    # iterator buffers, whose size varies with the numpy version) may take one
-    # more layout per slot; a 512-slot batch made afresh at every refill
-    # peaked at about 400 B a slot
+    # Its 16-byte block of (gap, choice) uniforms and a round's temporaries
+    # (next epochs, event indices and numpy's iterator buffers, whose size
+    # varies with the numpy version) may take one more layout per slot; a
+    # 512-slot batch made afresh at every refill peaked at about 400 B a slot
     layout = (3 + 3) * 8 + 1 + 4 * 8 + 6 * 8
 
     def run():

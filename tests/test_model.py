@@ -652,6 +652,21 @@ def test_refused_points_raise_before_any_numpy_warning(call, match):
             call()
 
 
+@pytest.mark.parametrize("params, seed, group", [
+    (_one_group(), ContinuousState(t=0.0, s=[1e308], a=[1e308], dd=[0.0]), 1),
+    (_one_group(m=2, b=[0.01, 0.0], d=[0.01, 0.0]), ContinuousState(t=0.0, s=[1.0, 1e308], a=[1.0, 0.0],
+                                                                      dd=[0.0, 1e308]), 2),
+], ids=["conserved", "second_group"])
+def test_a_seed_whose_group_total_overflows_is_refused_naming_the_group(params, seed, group):
+    # s + a + dd overflowed with numpy's warning, and the refusal that
+    # followed, "totals: entries must be finite", named a keyword the
+    # caller never passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^seed group {group}: its total s \+ a \+ dd overflows to inf$"):
+            endemic_equilibrium(params, seed)
+
+
 @pytest.mark.parametrize("phi, delta, rho", [(0.0, 0.0, 0.2), (0.0, 0.03, 0.2), (0.03, 0.0, 0.0)])
 def test_conserved_group_without_a_unique_rest_point_is_refused(phi, delta, rho):
     # phi_i (delta_i + rho_i) = 0: at W = 0 the group's split of its total is

@@ -15,6 +15,7 @@ only in distribution. It draws contract v1's stream as v1's driver did
 (see the test module ``pcg64``) and reproduces recorded v1 output.
 """
 
+import functools
 import math
 import re
 
@@ -32,10 +33,11 @@ from diffusim import (
     LogisticConfig,
     ModelParams,
     derive_replica_seed,
+    dtmc,
     monte_carlo_mean,
     simulate_replica,
 )
-from diffusim.dtmc import _BATCH_SLOTS, _Engine, _mix64, _run_replicas, _select
+from diffusim.dtmc import _AHEAD, _BATCH_SLOTS, _KEY_STEPS, _ROW_SUM_SLOTS, _Engine, _mix64, _run_replicas, _select
 from diffusim.errors import StepSizeError
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -319,6 +321,62 @@ def test_a_shorter_horizon_is_a_prefix_of_the_same_path(model, seed, cut):
     long = _run_replicas(params, mode, logistic, init, dt, 300, [seed], stride=1)
     short = _run_replicas(params, mode, logistic, init, dt, cut, [seed], stride=1)
     np.testing.assert_array_equal(short.sums, long.sums[: cut + 1])
+
+
+# ------------------------------------------ uniforms hashed ahead in blocks
+
+
+BLOCK_SEEDS = [derive_replica_seed(26, r) for r in range(257)]
+
+
+@functools.lru_cache
+def block_case(logistic: bool, stride: int):
+    """A chain whose replicas run a median of over 3 blocks of events, and the stepper's (trajectories, ext, finals)."""
+    if logistic:
+        args = (two_group_params(alpha=2.0), FULL, LogisticConfig(enabled=True, growth_rate=0.2, capacity=150.0),
+                DiscreteState(s=np.array([30, 42]), a=np.array([20, 8]), dd=np.zeros(2)), 0.01, 100)
+    else:
+        args = (single_group_params(alpha=1.0), PAPER_LITERAL, None,
+                DiscreteState(s=np.array([10]), a=np.array([5]), dd=np.array([5])), 0.05, 1000)
+    runs = [step_events(*args, seed, stride) for seed in BLOCK_SEEDS]
+    assert np.median([r[3] for r in runs]) > 3 * _AHEAD
+    return args, *(np.stack([r[k] for r in runs]) for k in range(3))
+
+
+class RecordedSteps:
+    """``dtmc._KEY_STEPS`` that records the number of events of each key move."""
+
+    def __init__(self):
+        self.moves = []
+
+    def __getitem__(self, k):
+        self.moves.append(int(k))
+        return _KEY_STEPS[k]
+
+
+@pytest.mark.parametrize("n_rep", [255, 257], ids=["narrow", "wide"])
+@pytest.mark.parametrize("logistic", [False, True], ids=["constant", "logistic"])
+@pytest.mark.parametrize("stride", [0, 5])
+def test_batches_match_the_stepper_across_their_blocks_of_uniforms(n_rep, logistic, stride, monkeypatch):
+    # a narrow batch hashes _AHEAD events per slot at once and a wide one a
+    # single event; replicas run past three blocks, and the batch drops its
+    # finished half at rounds that fall at many places within a block, where
+    # the kept slots' keys go back to their next event
+    (params, mode, lg, init, dt, n_epochs), traj, ext, finals = block_case(logistic, stride)
+    steps = RecordedSteps()
+    monkeypatch.setattr(dtmc, "_KEY_STEPS", steps)
+    out = _run_replicas(params, mode, lg, init, dt, n_epochs, BLOCK_SEEDS[:n_rep], stride=stride)
+    np.testing.assert_array_equal(out.final, finals[:n_rep].sum(axis=0))
+    if stride:
+        np.testing.assert_array_equal(out.sums, traj[:n_rep].sum(axis=0))
+        np.testing.assert_array_equal(out.sumsq, np.square(traj[:n_rep]).sum(axis=0))
+    else:
+        np.testing.assert_array_equal(out.ext_epoch, ext[:n_rep])
+    ahead = 1 if n_rep > _ROW_SUM_SLOTS else _AHEAD
+    rewinds = {k for k in steps.moves if k != ahead}
+    assert rewinds <= set(range(ahead))
+    if ahead > 1:
+        assert len(rewinds - {0}) >= 4, steps.moves
 
 
 # ------------------------------------------------ edges of the gap and choice
