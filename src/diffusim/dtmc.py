@@ -290,7 +290,6 @@ class _Engine:
             raise DomainError(f"dt must be positive and finite, got {dt!r}")
         if logistic is not None and not logistic.enabled:
             logistic = None
-        self.dt = dt
         self.logistic = logistic
         m = params.m
         self.m = m
