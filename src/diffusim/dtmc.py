@@ -56,7 +56,8 @@ Reproducibility contract, version 2 (v1 drew one PCG64 uniform per epoch):
 * A round moves every running replica by one event. The first round in
   which a running replica would simulate an epoch from a state whose
   summed event probability exceeds 1 raises StepSizeError, naming the
-  lowest ensemble index among the overloaded replicas. Replicas past the
+  lowest ensemble index among the overloaded replicas; a nan sum raises
+  NumericError there, naming the first nan event. Replicas past the
   first 1024 start at a refill, so which one that is can depend on the
   batch width; an ensemble of at most 1024 replicas starts whole.
 
@@ -66,10 +67,12 @@ compartment or event and one column per replica, so each array operation
 of a round is one pass over the replicas. Every running replica fires one
 event per round, so the uniforms of its next events are known ahead: a
 batch of at most 256 slots hashes those of 16 events at once, in one pass
-with their log1p(-u), and a wider one those of a single event. The
-activation scale gamma . a is the left-to-right sum of the products
-a_i gamma_i, in ufuncs rather than BLAS, so a replica's probabilities, and
-with them its path, have the same bits alone and in a batch of any width.
+with their log1p(-u), and a wider one those of a single event. One
+routine, ``_running_sums``, forms every running sum of a round in place
+and top to bottom, with the adds of ``np.cumsum``: q, and the activation
+scale gamma . a as the left-to-right sum of the products a_i gamma_i. It
+uses ufuncs rather than BLAS, so a replica's probabilities, and with them
+its path, have the same bits alone and in a batch of any width.
 """
 
 from __future__ import annotations
@@ -79,12 +82,12 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
 from .errors import DomainError, NumericError, StepSizeError
-from .integrate import _multiple_of
+from .integrate import _check_cells, _multiple_of
 from .logistic import LogisticConfig
 from .model import ModelParams
 from .trajectory import TrajectoryTable
@@ -115,8 +118,8 @@ _MASK64 = (1 << 64) - 1
 
 # an ensemble streams through a batch of at most this many slots
 _BATCH_SLOTS = 1024
-# a batch opened past this many slots forms its running sums one row at a time: np.add.accumulate
-# runs one inner loop per column, slower from 128-256 columns at 4 to 64 rows
+# _running_sums adds an array wider than this row by row: np.add.accumulate runs one inner loop per
+# column, slower from 128-256 columns at 4 to 64 rows. A batch opened wider is wide (see _run_replicas)
 _ROW_SUM_SLOTS = 256
 # a narrow batch hashes the uniforms of this many events per slot at once, a wide one those of one
 _AHEAD = 16
@@ -140,17 +143,11 @@ def derive_replica_seed(seed: int, index: int) -> int:
     ``extinction_time_stochastic``) accept a seed only in [0, 2^64) and
     raise DomainError otherwise.
     """
-    z = (int(seed) + (int(index) + 1) * _GOLDEN) & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
+    return int(_mix64(np.array([(int(seed) + (int(index) + 1) * _GOLDEN) & _MASK64], dtype=np.uint64))[0])
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer (that of :func:`derive_replica_seed`) on a uint64 array, in place."""
+    """SplitMix64's finalizer on a uint64 array, in place."""
     z ^= z >> _MIX_SHIFTS[0]
     z *= _MIX_MULS[0]
     z ^= z >> _MIX_SHIFTS[1]
@@ -309,13 +306,13 @@ class _Engine:
             # state, the death rows with all of them, so each is one multiply
             self.c_mid = np.concatenate([rates["phi"] * dt, params.delta * dt])[:, None]
             self.c_death3 = (np.concatenate([d, d, d]) * dt)[:, None]
-            births = b * dt
+            self.c_birth = (b * dt)[:, None]
             # the logistic death and birth rows are these times the replica's population
             r_dt = np.float64(lg[0]) * dt
             self.lg_death, self.lg_birth = r_dt / lg[1], r_dt / m
         named = (("alpha * dt * eps_{}", self.act_num), ("alpha * dt * eps_{} / n_total", self.act_const),
                  ("phi_{} * dt", self.c_mid[:m]), ("delta_{} * dt", self.c_mid[m:]), ("rho_{} * dt", self.c_withd),
-                 ("d_{} * dt", self.c_death3[:m]), ("b_{} * dt", births),
+                 ("d_{} * dt", self.c_death3[:m]), ("b_{} * dt", self.c_birth),
                  ("growth_rate * dt / capacity", self.lg_death), ("growth_rate * dt / m", self.lg_birth))
         values = np.concatenate([np.ravel(coef) for _, coef in named])
         finite = np.isfinite(values)
@@ -323,58 +320,63 @@ class _Engine:
             k = int(np.argmin(finite))
             name = [name.format(i + 1) for name, coef in named for i in range(np.size(coef))][k]
             raise NumericError(f"event coefficient {name} = {float(values[k])!r} is not finite")
-        self.births = births if self.n_events > 4 * m and logistic is None else np.empty(0)  # constant rows
 
-    def make_buffers(self, r: int, flat: np.ndarray | None = None) -> np.ndarray:
-        """Probability buffer, one row per event, for an r-replica batch: new, or the front of ``flat``.
+    def fill_probabilities(self, state: np.ndarray, p: np.ndarray) -> None:
+        """Write the event probabilities of the (3m, replicas) ``state`` into every row of ``p``.
 
-        Constant rows (births outside the logistic coupling) are filled
-        here once; fill_probabilities never touches them.
-        """
-        p = np.zeros((self.n_events, r)) if flat is None else flat[: self.n_events * r].reshape(-1, r)
-        p[self.n_events - self.births.size :] = self.births[:, None]
-        return p
-
-    def fill_probabilities(self, state: np.ndarray, p: np.ndarray, rowwise: bool = False) -> None:
-        """Write the event probabilities of the (3m, replicas) ``state`` into ``p``.
-
-        ``p`` must come from :meth:`make_buffers` for the same batch size.
         Activation is ``coef * s_i * scale``; ``scale = gamma . a`` is summed left
-        to right (row by row if ``rowwise``), divided by the replica's population
+        to right by :func:`_running_sums`, divided by the replica's population
         under the logistic coupling, which also sets the death and birth rows from it.
         """
         m = self.m
         s = state[:m]
-        scale = state[m : 2 * m] * self.gamma
-        scale = (_row_sums(scale) if rowwise else np.add.accumulate(scale, axis=0))[-1]
+        scale = _running_sums(state[m : 2 * m] * self.gamma)[-1]
         if self.logistic is None:
-            coef, death = self.act_const, self.c_death3
+            coef, death, birth = self.act_const, self.c_death3, self.c_birth
         else:
             total = state.sum(axis=0).astype(float)
             scale /= np.where(total > 0, total, 1.0)  # rates all vanish at N = 0
             coef = self.act_num
-            death = self.lg_death * total
-            p[7 * m :] = self.lg_birth * total
+            death, birth = self.lg_death * total, self.lg_birth * total
         np.multiply(s, coef, out=p[:m])
         p[:m] *= scale
         np.multiply(state[m:], self.c_mid, out=p[m : 3 * m])
         np.multiply(s, self.c_withd, out=p[3 * m : 4 * m])
         if self.n_events > 4 * m:
             np.multiply(state, death, out=p[4 * m : 7 * m])
+            p[7 * m :] = birth
 
     def probabilities(self, state: np.ndarray) -> np.ndarray:
         """The transpose of :meth:`fill_probabilities` for the flat (s, a, dd) rows ``state``."""
-        p = self.make_buffers(state.shape[0])
+        p = np.empty((self.n_events, state.shape[0]))
         self.fill_probabilities(state.T, p)
         return p.T
 
 
-def _row_sums(q: np.ndarray, last: np.ndarray | tuple = ()) -> np.ndarray:
-    """``np.add.accumulate(q, axis=0)`` in place, a row at a time; the last rows add the constants ``last``."""
-    first = q.shape[0] - len(last)
+def _running_sums(q: np.ndarray) -> np.ndarray:
+    """``q``'s running sums down its rows, in place: one accumulate, or one add per row past
+    ``_ROW_SUM_SLOTS`` columns; both make the adds of ``np.cumsum(q, axis=0)`` in its order."""
+    if q.shape[1] <= _ROW_SUM_SLOTS:
+        return np.add.accumulate(q, axis=0, out=q)
     for k in range(1, q.shape[0]):
-        np.add(q[k - 1], q[k] if k < first else last[k - first], out=q[k])
+        np.add(q[k - 1], q[k], out=q[k])
     return q
+
+
+def _refuse_total(sums: np.ndarray, m: int, where: str = "") -> NoReturn:
+    """Refuse a state whose running sums ``sums`` of its event probabilities end above 1 or in nan.
+
+    A total above 1, inf too, is StepSizeError: dt is too large. A nan one is
+    no overload but an infinite factor times zero, as gamma . a overflowing
+    beside s_i = 0: NumericError naming the first nan event (the
+    probabilities are nonnegative, so the first nan sum is that event's).
+    """
+    total = float(sums[-1])
+    if math.isnan(total):
+        k = int(np.argmax(np.isnan(sums)))
+        raise NumericError(f"event probability of {list(_EVENT_DELTAS)[k // m]}({k % m + 1}) is nan{where}: "
+                           f"an infinite factor times zero")
+    raise StepSizeError(f"summed event probability {total:.6g} > 1{where}; decrease dt")
 
 
 def _select(q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -394,15 +396,17 @@ def event_probabilities(params: ModelParams, state: DiscreteState, dt: float, mo
     Raises:
         StepSizeError: if the summed event probability exceeds 1 at this
             state (dt too large).
+        NumericError: if it is nan, naming the first nan event.
     """
     if state.m != params.m:
         raise DomainError(f"state has {state.m} groups, params expect {params.m}")
     eng = _Engine(params, mode, dt, None)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan total is refused below
         row = eng.probabilities(np.concatenate([state.s, state.a, state.dd])[None, :])[0]
-    total = float(np.cumsum(row)[-1])
+    sums = np.cumsum(row)
+    total = float(sums[-1])
     if not total <= 1.0:  # nan too
-        raise StepSizeError(f"summed event probability {total:.6g} > 1; decrease dt")
+        _refuse_total(sums, params.m)
     events = canonical_events(params.m, mode)
     # full mode's death and birth entries are zeros where the engine leaves them out
     probs = dict.fromkeys(events[:-1], 0.0)
@@ -512,7 +516,9 @@ def _run_replicas(
     in replica order. Samples are recorded as per-sample differences and
     summed at the end.
 
-    A running slot fires in every round, so a batch of at most
+    A round writes every row of one probability buffer and turns it into
+    its running sums in place with :func:`_running_sums`, at any width. A
+    running slot fires in every round, so a batch of at most
     ``_ROW_SUM_SLOTS`` slots hashes the uniforms of its slots' next
     ``_AHEAD`` events in one block, a wider batch those of one event, and
     every key moves past the block at once. Dropping the finished slots
@@ -539,6 +545,7 @@ def _run_replicas(
             enters a state whose summed event probability exceeds 1. The
             first round in which a running slot is overloaded raises, and
             names the lowest replica index among its overloaded slots.
+        NumericError: if that sum is nan instead, naming the first nan event.
     """
     eng = _Engine(params, mode, dt, logistic)
     m = params.m
@@ -563,12 +570,18 @@ def _run_replicas(
     # last block of uniforms, plus the block's ``ahead`` events, of which ``used`` are spent. Every
     # array of a round is the C-contiguous front of a buffer made once, at the batch's widest
     width = min(_BATCH_SLOTS, n_run)
-    wide = width > _ROW_SUM_SLOTS  # a wide batch forms its running sums row by row, in place
+    # a batch opened past _ROW_SUM_SLOTS is wide, which sets two things, each measured at every width:
+    # - a wide batch hashes one event ahead, since the block lives through the selection, where a wide
+    #   batch peaks; a narrow one hashes _AHEAD;
+    # - a wide batch scatters its samples' sums and squares by two (3m, n) indices. One (6m, n) index
+    #   raised its traced peak from 230 to 327 B a slot, and a broadcast (sample, row) index to 283 B.
+    #   A narrow batch takes the one index: the split form costs about 3% of a chain_sparse pass and
+    #   5-8% of a simulate_replica call
+    wide = width > _ROW_SUM_SLOTS
     ahead = 1 if wide else _AHEAD
     slots = np.empty((3 + 3 * m) * width, dtype=np.int64)
     flags = np.empty(width, dtype=bool)
     probs = np.empty(eng.n_events * width)
-    psums = None if wide else np.empty_like(probs)
     scratch = np.empty(6 * m * width, dtype=np.int64)  # d and work below
     block = np.empty(2 * ahead * width, dtype=np.uint64)  # the (gap, choice) uniforms of the next events
     taken = n = 0  # replicas [taken, n_run) wait for a slot
@@ -603,23 +616,15 @@ def _run_replicas(
             cols[2:, kept:] = np.concatenate([[0], start])[:, None]
             taken += new
             active[:] = True
-            p = eng.make_buffers(n, probs)
-            q = p if wide else psums[: eng.n_events * n].reshape(-1, n)
+            q = probs[: eng.n_events * n].reshape(-1, n)  # the event probabilities, then their running sums
             d, work = scratch[: 6 * m * n].reshape(2, 3 * m, n)
             while np.count_nonzero(active) > n // 2:
-                eng.fill_probabilities(state, p, wide)
-                if wide:
-                    _row_sums(p, eng.births)
-                else:
-                    np.add.accumulate(p, axis=0, out=q)
-                total = q[-1]
+                eng.fill_probabilities(state, q)
+                total = _running_sums(q)[-1]
                 if not np.maximum.reduce(total, where=active, initial=0.0) <= 1.0:  # nan too
                     i = int(np.argmax(active & ~(total <= 1.0)))  # the lowest replica: slots are in order
-                    raise StepSizeError(
-                        f"summed event probability {total[i]:.6g} > 1 for replica "
-                        f"{int(rid[i])} at epoch {int(ptr[i])} "
-                        f"(t = {int(ptr[i]) * dt:g}); decrease dt"
-                    )
+                    _refuse_total(q[:, i], m, f" for replica {int(rid[i])} at epoch {int(ptr[i])} "
+                                              f"(t = {int(ptr[i]) * dt:g})")
                 if used == ahead:  # hash the gap and choice uniforms of the next ``ahead`` events
                     np.add(key, _AHEAD_WORDS[:, :ahead], out=uv)
                     _mix64(uv)
@@ -647,8 +652,8 @@ def _run_replicas(
                 np.take(eng.delta, _select(q, x), axis=1, out=d, mode="clip")
                 state += d
                 if stride:
-                    # d to the sums of the event's first sample, new^2 - old^2 = d (2 new - d) to its squares:
-                    # each half by one (3m, n) index if wide, else by one (6m, n) index, a call fewer and faster
+                    # d to the sums of the event's first sample, new^2 - old^2 = d (2 new - d) to its squares,
+                    # each half by one (3m, n) index if wide, else both by one (6m, n) index
                     k = (ptr + (stride - 1)) // stride * (6 * m)
                     if wide:
                         np.add(rows[: 3 * m], k, out=work)
@@ -678,8 +683,13 @@ def _chain_setup(
     horizon: float = 0.0,
     sample_every: float | None = None,
     logistic: LogisticConfig | None = None,
+    *,
+    sampled: bool = True,
 ) -> tuple[int, int]:
-    """Validate a chain driver's inputs; return (epochs, epochs per sample)."""
+    """Validate a chain driver's inputs; return (epochs, epochs per sample).
+
+    A ``sampled`` run's table must fit the cell budget of :func:`_check_cells`.
+    """
     _check_mode(mode)
     if init.m != params.m:
         raise DomainError(f"init has {init.m} groups, params expect {params.m}")
@@ -699,6 +709,8 @@ def _chain_setup(
             raise DomainError(f"{name}/dt = {span / dt:.6g} epochs is past 2^53, beyond exact epoch counts")
     n_epochs = int(np.floor(horizon / dt + 1e-9))
     stride = 1 if sample_every is None else _multiple_of(float(sample_every), dt, "sample_every/dt")
+    if sampled:
+        _check_cells(n_epochs // stride + 1, 3 * params.m, "samples")
     _check_logistic_mode(mode, logistic is not None and logistic.enabled)
     return n_epochs, stride
 
@@ -821,7 +833,7 @@ def extinction_time_stochastic(
     if n_replicas < 1:
         raise DomainError(f"n_replicas must be at least 1, got {n_replicas}")
     seed = _check_seed(seed)
-    n_epochs, _ = _chain_setup(params, init, mode, dt, horizon, logistic=logistic)
+    n_epochs, _ = _chain_setup(params, init, mode, dt, horizon, logistic=logistic, sampled=False)
     epochs = _run_replicas(params, mode, logistic, init, dt, n_epochs, _ReplicaSeeds(seed, n_replicas)).ext_epoch
     times = np.where(epochs >= 0, epochs * dt, np.nan)
     done = times[np.isfinite(times)]
@@ -872,7 +884,7 @@ def _exact_kernel(params: ModelParams, n: int, dt: float) -> tuple[np.ndarray, n
 
     Raises:
         StepSizeError: for the first state, in lexicographic order, whose
-            summed event probability exceeds 1.
+            summed event probability exceeds 1; NumericError if that sum is nan.
     """
     s = np.repeat(np.arange(n + 1, dtype=np.int64), np.arange(n + 1, 0, -1))
     a = np.arange(s.size, dtype=np.int64) - _simplex_index(n, s, 0)
@@ -882,7 +894,7 @@ def _exact_kernel(params: ModelParams, n: int, dt: float) -> tuple[np.ndarray, n
     total = np.cumsum(prob, axis=1)[:, -1].copy()  # a copy, so the running sums are freed
     over = np.flatnonzero(~(total <= 1.0))  # nan too
     if over.size:
-        raise StepSizeError(f"summed event probability {float(total[over[0]]):.6g} > 1; decrease dt")
+        _refuse_total(np.cumsum(prob[over[0]]), 1)
 
     vals = np.column_stack([prob, 1.0 - total])
     keep = vals != 0.0
@@ -903,6 +915,8 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
     (constant N), on the rates of :func:`_mode_rates`.
 
     Raises:
+        DomainError: if its n_steps + 1 rows pass the cell budget of a
+            table held in memory; raised before the kernel is built.
         StepSizeError: if the summed event probability exceeds 1 at any
             reachable state (dt too large); raised before any step.
         NumericError: if the probability mass drifts from 1 by more than
@@ -913,6 +927,7 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
     _chain_setup(params, init, PAPER_LITERAL, dt)
     if n_steps < 0:
         raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
+    _check_cells(n_steps + 1, 5, "steps")  # times, e_s, e_a, e_d and mass
     n = init.total()
     states, row, col, val = _exact_kernel(params, n, dt)
 

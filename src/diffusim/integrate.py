@@ -22,6 +22,16 @@ __all__ = ["IntegrationConfig", "integrate"]
 # fraction of steps allowed to hit the negativity clamp before the run
 # is rejected
 _CLAMP_BUDGET = 1e-3
+# a sampled run holds its whole table in memory, in several copies at once (the chain's int64
+# moments, the float means and spreads, the CSV text): past 2^26 cells, 512 MiB a copy, a request
+# would exhaust a workstation's memory, so it is refused before anything is allocated
+_MAX_CELLS = 2**26
+
+
+def _check_cells(rows: int, width: int, what: str) -> None:
+    """DomainError if a table of ``rows`` ``what`` x ``width`` values passes ``_MAX_CELLS``."""
+    if rows * width > _MAX_CELLS:
+        raise DomainError(f"{rows} {what} x {width} values pass the {_MAX_CELLS}-cell budget of a table held in memory")
 
 
 def _multiple_of(big: float, small: float, names: str) -> int:
@@ -74,6 +84,8 @@ def integrate(
         TrajectoryTable sampled at 0, sample_every, 2*sample_every, ...
 
     Raises:
+        DomainError: if the samples pass the cell budget of a table held
+            in memory.
         NumericError: on a non-finite state (reports the time of blowup),
             when more than 0.1% of steps needed the negativity clamp, or,
             under logistic coupling, when the population of an RK4 stage
@@ -86,6 +98,7 @@ def integrate(
     stride = _multiple_of(cfg.sample_every, cfg.step, "sample_every/step")
     n_steps = int(np.floor(cfg.horizon / h + 1e-9))
     n_samples = n_steps // stride + 1
+    _check_cells(n_samples, 3 * params.m, "samples")
 
     _, march = _kernel(params, logistic)
     out = np.empty((n_samples, 3 * params.m))

@@ -239,6 +239,18 @@ def test_an_epoch_count_past_2_to_the_53_exits_2(tmp_path, capsys):
     assert "past 2^53" in captured.err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run-dtmc", "run-ode"])
+def test_a_sample_table_past_memory_exits_2(tmp_path, capsys, command):
+    # 10^13 + 1 samples: both used to exit 1 with numpy's _ArrayMemoryError
+    out = tmp_path / "x.csv"
+    replicas = ["--replicas", "2"] if command == "run-dtmc" else []
+    assert main([command, "--config", "table2", "--horizon", "1e13", *replicas, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("error: 10000000000001 samples x 6 values pass the 67108864-cell budget of a table "
+                            "held in memory\n")
+
+
 def test_oversized_chain_step_exits_3(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = main(["run-dtmc", "--config", "table2", "--out", str(out),

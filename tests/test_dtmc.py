@@ -26,7 +26,7 @@ from diffusim import (
     monte_carlo_mean,
     simulate_replica,
 )
-from diffusim.dtmc import _BATCH_SLOTS, _ROW_SUM_SLOTS, _Engine, _ReplicaSeeds, _row_sums, _run_replicas
+from diffusim.dtmc import _BATCH_SLOTS, _ROW_SUM_SLOTS, _Engine, _ReplicaSeeds, _run_replicas, _running_sums
 from diffusim.errors import DomainError, NumericError, StepSizeError
 
 
@@ -208,10 +208,10 @@ def running_sum_engines():
 
 @pytest.mark.parametrize("case", list(running_sum_engines()))
 def test_running_sums_in_place_row_by_row_equal_accumulate_across_the_crossover(case):
-    # a batch wider than _ROW_SUM_SLOTS sums its rows (and gamma . a) one row
-    # at a time, in place, a constant birth row added as its constant: the
-    # adds of np.add.accumulate, so the bits of a column filled alone, on
-    # either side of the crossover and in every round of one buffer
+    # _running_sums sums an array wider than _ROW_SUM_SLOTS (gamma . a too)
+    # one row at a time and a narrower one by one accumulate, both in place:
+    # the adds of np.cumsum, so the bits of a column filled alone, on either
+    # side of the crossover and in every round of one buffer
     eng, total = running_sum_engines()[case]
     m = eng.m
     rng = np.random.default_rng(7)
@@ -221,15 +221,26 @@ def test_running_sums_in_place_row_by_row_equal_accumulate_across_the_crossover(
     for width in (_ROW_SUM_SLOTS, _ROW_SUM_SLOTS + 1):
         state = cols[:, :width]
         alone = np.column_stack([np.cumsum(eng.probabilities(state[:, r][None, :])[0]) for r in range(width)])
-        p = eng.make_buffers(width)
-        eng.fill_probabilities(state, p)
-        q = np.add.accumulate(p, axis=0)
-        assert q.tobytes() == alone.tobytes()
-        for _ in range(2):  # the second round reads no sum left in a constant row
-            eng.fill_probabilities(state, p, rowwise=True)
-            assert _row_sums(p, eng.births).tobytes() == alone.tobytes()
+        q = np.empty((eng.n_events, width))
+        for _ in range(2):  # the second round reads no sum left by the first
+            eng.fill_probabilities(state, q)
+            assert _running_sums(q).tobytes() == alone.tobytes()
         if total is not None:
             assert q[-1, 0] == total
+
+
+@pytest.mark.parametrize("case", ["4m", "8m births", "8m logistic"])
+def test_fill_probabilities_writes_every_row_of_its_buffer(case):
+    # constant birth rows are written every round, as the logistic ones are,
+    # so no row keeps what the buffer held before, here nan
+    eng, _ = running_sum_engines()[case]
+    state = np.random.default_rng(5).integers(0, 300, (3 * eng.m, 9))
+    p = np.full((eng.n_events, 9), np.nan)
+    eng.fill_probabilities(state, p)
+    assert np.isfinite(p).all()
+    fresh = np.zeros_like(p)
+    eng.fill_probabilities(state, fresh)
+    assert p.tobytes() == fresh.tobytes()
 
 
 # ----------------------------------------------------------- stability bound
@@ -309,13 +320,17 @@ def test_the_first_overflowing_coefficient_is_named_with_its_group(rates, logist
         simulate_replica(p, init, 10.0, 20.0, logistic=logistic)
 
 
-@pytest.mark.parametrize("call", CHAIN_CALLS.values(), ids=CHAIN_CALLS.keys())
-def test_a_nan_summed_probability_is_refused(call):
+@pytest.mark.parametrize("name", CHAIN_CALLS)
+def test_a_nan_summed_probability_is_refused(name):
     # finite coefficients, but gamma . a overflows beside s = 0, so activation
-    # is inf * 0 = nan again, now inside a round
+    # is inf * 0 = nan again, now inside a round: no overload, so no
+    # StepSizeError, and the chain drivers name the replica and the epoch
     p = ModelParams(**{**NAN_ACTIVATION, "alpha": 1.0, "eps": 1.0, "gamma": 1e308})
-    with pytest.raises(StepSizeError, match=r"^summed event probability nan > 1"):
-        call(p, DiscreteState(s=[0], a=[2], dd=[1]))
+    with pytest.raises(NumericError) as info:
+        CHAIN_CALLS[name](p, DiscreteState(s=[0], a=[2], dd=[1]))
+    assert type(info.value) is NumericError
+    where = "" if name in ("event_probabilities", "exact_propagation") else " for replica 0 at epoch 0 (t = 0)"
+    assert str(info.value) == f"event probability of activate(1) is nan{where}: an infinite factor times zero"
 
 
 @pytest.mark.parametrize("capacity", [60.0, 150.0])
@@ -419,6 +434,39 @@ def test_a_non_finite_sample_every_is_refused_by_name(sample_every):
                 lambda: monte_carlo_mean(p, init, dt, 1.0, PAPER_LITERAL, n_replicas=2, sample_every=sample_every)):
         with pytest.raises(DomainError, match=rf"^sample_every/dt = {sample_every!r} is not finite$"):
             run()
+
+
+def dying_chain():
+    # b = 0 < d: every replica dies out after a few dozen events, so a run of
+    # 2^45 epochs at dt = 2^-5 ends in a few rounds
+    p = ModelParams(m=1, n_total=10.0, alpha=1.0, b=0.0, d=0.5, rho=0.1, delta=0.1, phi=0.1, eps=1.0, gamma=1.0)
+    return p, DiscreteState(s=[5], a=[3], dd=[2]), 2.0**-5, 2.0**40
+
+
+def test_a_sample_table_past_the_cell_budget_is_refused_before_any_allocation():
+    # 2^45 + 1 samples of 3 values: the int64 moments alone would take 1.7 PB,
+    # and numpy's allocator used to refuse them with _ArrayMemoryError
+    p, init, dt, horizon = dying_chain()
+    message = r"^35184372088833 samples x 3 values pass the 67108864-cell budget of a table held in memory$"
+    for run in (lambda: simulate_replica(p, init, dt, horizon),
+                lambda: monte_carlo_mean(p, init, dt, horizon, n_replicas=2)):
+        with pytest.raises(DomainError, match=message):
+            run()
+    # a first passage keeps no table; the exact law checks its rows before its kernel build, which
+    # would refuse the overflowing coefficient alpha dt eps
+    extinction_time_stochastic(p, init, dt, horizon, n_replicas=2)
+    with pytest.raises(DomainError, match=r"^10000000000001 steps x 5 values pass the 67108864-cell budget"):
+        exact_propagation(ModelParams(**{**NAN_ACTIVATION, "alpha": 1.0}), DiscreteState(s=[1], a=[1], dd=[1]),
+                          1e300, 10**13)
+
+
+def test_a_long_run_with_few_samples_runs():
+    p, init, dt, horizon = dying_chain()
+    one = simulate_replica(p, init, dt, horizon, sample_every=horizon / 8)
+    mean = monte_carlo_mean(p, init, dt, horizon, n_replicas=2, sample_every=horizon / 8)
+    for table in (one, mean):
+        assert table.times.shape == (9,) and table.times[-1] == horizon
+        assert not (table.s[-1].any() or table.a[-1].any() or table.dd[-1].any())
 
 
 def test_no_event_creates_actives_from_nothing():

@@ -126,6 +126,16 @@ def test_sampling_cadence_is_a_pure_subsample():
         np.testing.assert_array_equal(sparse.dd[k], dense.dd[j])
 
 
+def test_a_sample_table_past_the_cell_budget_is_refused_before_any_allocation():
+    # 10^13 + 1 samples of 6 values would take 437 TiB; numpy's allocator used
+    # to refuse them with _ArrayMemoryError
+    cfg = IntegrationConfig(step=1.0, horizon=1e13, sample_every=1.0)
+    with pytest.raises(DomainError, match=r"^10000000000001 samples x 6 values pass the 67108864-cell budget"):
+        integrate(two_group_params(), demo_init(), cfg)
+    few = integrate(two_group_params(), demo_init(), IntegrationConfig(step=0.1, horizon=1e3, sample_every=1e2))
+    assert few.times.shape == (11,) and np.isfinite(few.a).all()
+
+
 def test_group_count_mismatch_rejected():
     with pytest.raises(DomainError):
         integrate(frozen_params(), demo_init(), IntegrationConfig())

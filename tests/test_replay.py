@@ -114,7 +114,7 @@ def step_epochs(params, mode, logistic, init, dt, n_epochs, seeds, *,
         traj[:, 0] = state
     ext = np.where(a.sum(axis=1) == 0, 0, -1)
     running = ext < 0 if stop_when_extinct else np.ones(n, dtype=bool)
-    p = eng.make_buffers(n)
+    p = np.empty((eng.n_events, n))
     q = np.empty_like(p)
     for epoch in range(n_epochs):
         eng.fill_probabilities(state.T, p)
