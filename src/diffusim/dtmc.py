@@ -473,8 +473,11 @@ class _RunOutput:
     final: np.ndarray                     # (3m,) int64 sum over replicas of the last simulated states
     ext_epoch: np.ndarray | None = None   # (replicas,) first passage: epochs until no actives, -1 if none
     sums: np.ndarray | None = None        # (samples, 3m) int64 sum over replicas
-    sumsq: np.ndarray | None = None       # (samples, 3m) int64 sum of squares
-    # in a sampled run final, sums and sumsq are views of one (samples + 1, 2, 3m) array
+    sumsq: np.ndarray | None = None       # (samples, 3m) int64 sum of squares; None for a replica alone
+    # in a sampled run final, sums and sumsq are views of one (samples + 1, 2, 3m) int64 array, two
+    # tables of the run's float output in bytes; a replica alone has no spread and keeps one,
+    # (samples + 1, 1, 3m). So a trajectory holds 2 tables at its peak, this one and its float copy,
+    # and an ensemble 4: these two, its means and its spreads
 
 
 class _ReplicaSeeds:
@@ -529,7 +532,8 @@ def _run_replicas(
     ``stride`` chooses the run. With ``stride > 0`` every replica runs all
     ``n_epochs`` and the state is sampled every ``stride`` epochs, as the
     int64 sums over replicas of the samples and of their squares in
-    ``sums`` and ``sumsq``. With ``stride == 0`` nothing is sampled and the
+    ``sums`` and ``sumsq``; a replica alone has no spread and records no
+    squares (``sumsq`` is None). With ``stride == 0`` nothing is sampled and the
     run is a first passage: a replica stops at the epoch in which its
     actives run out, and the run returns each replica's extinction epoch,
     the only array that grows with the ensemble. Every run returns the sum
@@ -557,10 +561,11 @@ def _run_replicas(
         n_samples = n_epochs // stride + 1
         # sample n_samples takes the events after the last sample, so after
         # the running sum it holds the summed last states
-        moments = np.zeros((n_samples + 1, 2, 3 * m), dtype=np.int64)
-        moments[0] = n_rep * np.stack([start, np.square(start)])
+        squares = n_rep > 1
+        moments = np.zeros((n_samples + 1, 1 + squares, 3 * m), dtype=np.int64)
+        moments[0] = n_rep * np.stack([start, np.square(start)][: 1 + squares])
         flat = moments.reshape(-1)
-        rows = np.arange(6 * m)[:, None]  # the places of the sums and then the squares in a sample
+        rows = np.arange(moments[0].size)[:, None]  # the places of the sums, then any squares, in a sample
     else:
         ext_epoch = np.full(n_rep, 0 if extinct0 else -1)
         final = (n_rep - n_run) * start
@@ -652,27 +657,29 @@ def _run_replicas(
                 np.take(eng.delta, _select(q, x), axis=1, out=d, mode="clip")
                 state += d
                 if stride:
-                    # d to the sums of the event's first sample, new^2 - old^2 = d (2 new - d) to its squares,
-                    # each half by one (3m, n) index if wide, else both by one (6m, n) index
-                    k = (ptr + (stride - 1)) // stride * (6 * m)
+                    # d to the sums of the event's first sample and, in an ensemble, new^2 - old^2 = d (2 new - d)
+                    # to its squares: each half by one (3m, n) index if wide, else all by one (rows, n) index
+                    k = (ptr + (stride - 1)) // stride * len(rows)
                     if wide:
                         np.add(rows[: 3 * m], k, out=work)
                         np.add.at(flat, work.ravel(), d.ravel())
-                    np.add(state, state, out=work)
-                    work -= d
-                    work *= d
+                    if squares:
+                        np.add(state, state, out=work)
+                        work -= d
+                        work *= d
                     if wide:
                         np.add(rows[3 * m :], k, out=d)
                         np.add.at(flat, d.ravel(), work.ravel())
                     else:
-                        np.add.at(flat, (rows + k).ravel(), scratch[: 6 * m * n])
+                        np.add.at(flat, (rows + k).ravel(), scratch[: len(rows) * n])
                 else:
                     np.copyto(active, False, where=np.add.reduce(state[m : 2 * m], axis=0) == 0)  # no actives
 
     if not stride:
         return _RunOutput(final=final, ext_epoch=ext_epoch)
     np.cumsum(moments, axis=0, out=moments)
-    return _RunOutput(final=moments[n_samples, 0], sums=moments[:n_samples, 0], sumsq=moments[:n_samples, 1])
+    return _RunOutput(final=moments[n_samples, 0], sums=moments[:n_samples, 0],
+                      sumsq=moments[:n_samples, 1] if squares else None)
 
 
 def _chain_setup(
@@ -721,12 +728,17 @@ def _check_logistic_mode(mode: str, enabled: bool) -> None:
         raise DomainError("logistic coupling needs full mode; paper_literal holds N constant")
 
 
+def _as_index(value) -> int:
+    """``value`` as a Python int by ``operator.index``; -1 if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return -1
+
+
 def _check_seed(seed: int) -> int:
     """``seed`` as a Python int; DomainError unless it is an integer in [0, 2^64)."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
+    value = _as_index(seed)
     if not 0 <= value <= _MASK64:
         raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     return value
@@ -787,9 +799,13 @@ def monte_carlo_mean(
     mean = res.sums / n
     if n_replicas == 1:
         sd = np.zeros_like(mean)
-    else:
-        var = (res.sumsq - n * mean * mean) / (n - 1.0)
-        sd = np.sqrt(np.maximum(var, 0.0))
+    else:  # sqrt(max((sumsq - (n mean) mean) / (n - 1), 0)) in one buffer
+        sd = np.multiply(n, mean)
+        sd *= mean
+        np.subtract(res.sumsq, sd, out=sd)
+        sd /= n - 1.0
+        np.maximum(sd, 0.0, out=sd)
+        np.sqrt(sd, out=sd)
     s, a, dd = np.split(mean, 3, axis=1)
     sd_s, sd_a, sd_dd = np.split(sd, 3, axis=1)
     return TrajectoryTable(times=np.arange(mean.shape[0]) * (stride * dt), s=s, a=a, dd=dd,
@@ -915,8 +931,9 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
     (constant N), on the rates of :func:`_mode_rates`.
 
     Raises:
-        DomainError: if its n_steps + 1 rows pass the cell budget of a
-            table held in memory; raised before the kernel is built.
+        DomainError: if ``n_steps`` is not a nonnegative integer, or its
+            n_steps + 1 rows pass the cell budget of a table held in
+            memory; raised before the kernel is built.
         StepSizeError: if the summed event probability exceeds 1 at any
             reachable state (dt too large); raised before any step.
         NumericError: if the probability mass drifts from 1 by more than
@@ -925,8 +942,10 @@ def exact_propagation(params: ModelParams, init: DiscreteState, dt: float, n_ste
     if params.m != 1:
         raise DomainError(f"exact propagation supports m = 1 only, got m = {params.m}")
     _chain_setup(params, init, PAPER_LITERAL, dt)
-    if n_steps < 0:
-        raise DomainError(f"n_steps must be nonnegative, got {n_steps}")
+    steps = _as_index(n_steps)
+    if steps < 0:
+        raise DomainError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+    n_steps = steps
     _check_cells(n_steps + 1, 5, "steps")  # times, e_s, e_a, e_d and mass
     n = init.total()
     states, row, col, val = _exact_kernel(params, n, dt)

@@ -22,9 +22,10 @@ __all__ = ["IntegrationConfig", "integrate"]
 # fraction of steps allowed to hit the negativity clamp before the run
 # is rejected
 _CLAMP_BUDGET = 1e-3
-# a sampled run holds its whole table in memory, in several copies at once (the chain's int64
-# moments, the float means and spreads, the CSV text): past 2^26 cells, 512 MiB a copy, a request
-# would exhaust a workstation's memory, so it is refused before anything is allocated
+# a sampled run holds its whole table in memory, in several copies at once: a chain trajectory 2 (its
+# int64 sums and their float copy), an ensemble 4 (int64 sums and squares, float means and spreads),
+# an ODE run its float table, and each the CSV text besides. Past 2^26 cells, 512 MiB a copy, a
+# request would exhaust a workstation's memory, so it is refused before anything is allocated
 _MAX_CELLS = 2**26
 
 

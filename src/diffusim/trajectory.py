@@ -10,6 +10,9 @@ from .errors import DomainError
 
 __all__ = ["TrajectoryTable", "format_value"]
 
+# csv_rows joins the blocks of this many rows at a time
+_CSV_ROWS = 256
+
 
 def format_value(x: float) -> str:
     """Decimal rendering with 9 significant digits, used for all CSV cells."""
@@ -82,8 +85,11 @@ class TrajectoryTable:
         blocks = [self.times[:, None], self.s, self.a, self.dd]
         if self.has_spread:
             blocks += [self.sd_s, self.sd_a, self.sd_dd]
-        for r in range(self.times.shape[0]):
-            yield ",".join(format_value(v) for block in blocks for v in block[r])
+        # rows are formatted from Python floats, their blocks joined _CSV_ROWS rows at a time, so the copy
+        # stays small beside the text of every row, which the CLI holds until it writes
+        for lo in range(0, self.times.shape[0], _CSV_ROWS):
+            for row in np.hstack([block[lo : lo + _CSV_ROWS] for block in blocks]):
+                yield ",".join(map(format_value, row.tolist()))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="\n") as fh:

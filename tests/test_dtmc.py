@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -460,6 +461,18 @@ def test_a_sample_table_past_the_cell_budget_is_refused_before_any_allocation():
                           1e300, 10**13)
 
 
+@pytest.mark.parametrize("n_steps", [2.0, 2.5, "3", None, -1])
+def test_a_step_count_other_than_a_nonnegative_integer_is_refused_before_the_kernel_build(n_steps):
+    # the kernel build would refuse the overflowing coefficient alpha dt eps first
+    p, init = ModelParams(**{**NAN_ACTIVATION, "alpha": 1.0}), DiscreteState(s=[1], a=[1], dd=[1])
+    with pytest.raises(DomainError, match=rf"^n_steps must be a nonnegative integer, got {re.escape(repr(n_steps))}$"):
+        exact_propagation(p, init, 1e300, n_steps)
+    with pytest.raises(NumericError, match=r"^event coefficient alpha \* dt \* eps_1 = inf is not finite$"):
+        exact_propagation(p, init, 1e300, 2)
+    law = exact_propagation(single_group_params(), small_init(), 0.05, np.int64(3))
+    assert law.e_s.shape == (4,)
+
+
 def test_a_long_run_with_few_samples_runs():
     p, init, dt, horizon = dying_chain()
     one = simulate_replica(p, init, dt, horizon, sample_every=horizon / 8)
@@ -530,6 +543,31 @@ def test_single_replica_ensemble_equals_that_replica_with_zero_spread():
     np.testing.assert_array_equal(mc.sd_a, np.zeros_like(mc.sd_a))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chain_models(), st.integers(0, 2**64 - 1), st.sampled_from([1, 2, 3, 64]), st.integers(0, 300),
+       st.floats(0.1, 3.0))
+def test_single_replica_ensembles_equal_their_replicas_bit_for_bit(model, seed, stride, n_epochs, scale):
+    # across strides and both couplings; up to 3x the conservative bound, so
+    # events are dense and some runs overload
+    params, mode, logistic, init = model
+    dt = scale * finite_stable_dt(params, max(init.total(), 1))
+    runs = (lambda: simulate_replica(params, init, dt, n_epochs * dt, mode, seed=derive_replica_seed(seed, 0),
+                                     sample_every=stride * dt, logistic=logistic),
+            lambda: monte_carlo_mean(params, init, dt, n_epochs * dt, mode, n_replicas=1, seed=seed,
+                                     sample_every=stride * dt, logistic=logistic))
+    try:
+        one = runs[0]()
+    except StepSizeError as exc:
+        with pytest.raises(StepSizeError, match=f"^{re.escape(str(exc))}$"):
+            runs[1]()
+        return
+    mean = runs[1]()
+    assert mean.times.tobytes() == one.times.tobytes()
+    for field in ("s", "a", "dd"):
+        assert getattr(mean, field).tobytes() == getattr(one, field).tobytes()
+        assert not getattr(mean, "sd_" + field).any() and getattr(one, "sd_" + field) is None
+
+
 def test_deterministic_chain_mean_is_the_initial_state():
     p = ModelParams(m=1, n_total=20.0, alpha=0.0, b=0.0, d=0.0, rho=0.0,
                     delta=0.0, phi=0.0, eps=1.0, gamma=1.0)
@@ -582,14 +620,18 @@ def split_runs(params, logistic, init, dt, n_epochs, seeds, stride, cuts):
 
     A first passage gives (extinction epochs per replica, summed final
     states); a sampled run gives the sums over replicas of (final states,
-    samples, their squares).
+    samples, their squares). A one-replica part records no squares: its
+    squares are those of its sums.
     """
     bounds = [0, *cuts, len(seeds)]
     parts = [_run_replicas(params, FULL, logistic, init, dt, n_epochs, seeds[lo:hi], stride=stride)
              for lo, hi in zip(bounds, bounds[1:])]
     if not stride:
         return np.concatenate([o.ext_epoch for o in parts]), sum(o.final for o in parts)
-    return tuple(sum(getattr(o, field) for o in parts) for field in ("final", "sums", "sumsq"))
+    for o, lo, hi in zip(parts, bounds, bounds[1:]):
+        assert (o.sumsq is None) == (hi - lo == 1)
+    return (sum(o.final for o in parts), sum(o.sums for o in parts),
+            sum(np.square(o.sums) if o.sumsq is None else o.sumsq for o in parts))
 
 
 @pytest.mark.parametrize("stride", [0, 7])
@@ -629,7 +671,8 @@ def test_an_ensemble_streamed_through_refills_equals_its_replicas_alone(logistic
     alone = [derive_replica_seed(seed, r) for r in range(max(sizes))]
     sampled = [_run_replicas(p, FULL, logistic, init, dt, n_epochs, [s], stride=stride) for s in alone]
     sums = np.cumsum([o.sums for o in sampled], axis=0)
-    sumsq = np.cumsum([o.sumsq for o in sampled], axis=0)
+    assert all(o.sumsq is None for o in sampled)
+    sumsq = np.cumsum([np.square(o.sums) for o in sampled], axis=0)
     ext = np.concatenate([_run_replicas(p, FULL, logistic, init, dt, n_epochs, [s]).ext_epoch for s in alone])
     assert 200 < np.count_nonzero(ext > 0) < max(sizes) - 200 and np.unique(ext[ext > 0]).size > 40
     for n in sizes:
@@ -687,6 +730,37 @@ def test_a_wide_sampled_batch_peaks_within_its_buffer_layout():
     finally:
         tracemalloc.stop()
     assert peak / _BATCH_SLOTS <= 2 * layout, peak / _BATCH_SLOTS
+
+
+@pytest.mark.parametrize("n_replicas, tables", [(None, 2.0), (4, 4.5)], ids=["trajectory", "ensemble"])
+def test_a_sampled_run_holds_only_the_tables_it_returns(n_replicas, tables):
+    # table2's rates at 10,001 samples of 6 counts, in tables of the float
+    # output (480 KB). A trajectory holds its int64 sums and their float
+    # copy: 2 tables. An ensemble holds its int64 sums and squares, its means
+    # and its spreads, and while it makes its times half a table more (the
+    # int64 epochs, their float products and numpy's 64 KB cast buffer):
+    # 4.5. A tenth of a table covers the batch. Recording a lone replica's
+    # squares, or forming the spread in temporaries, would hold one table more
+    p = two_group_params()
+    init = DiscreteState(s=np.array([30, 42]), a=np.array([20, 8]), dd=np.zeros(2))
+    dt = max_stable_dt(p, p.n_total)
+    n_samples = 10_001
+    table = n_samples * 3 * p.m * 8
+
+    def run():
+        if n_replicas is None:
+            return simulate_replica(p, init, dt, (n_samples - 1) * dt, FULL, seed=3)
+        return monte_carlo_mean(p, init, dt, (n_samples - 1) * dt, FULL, n_replicas=n_replicas, seed=3)
+
+    assert run().times.shape == (n_samples,)  # numpy's first calls fill caches that would count otherwise
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (tables + 0.1) * table, peak / table
 
 
 # ----------------------------------------------------------- extinction time

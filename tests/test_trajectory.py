@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from diffusim import TrajectoryTable
+from diffusim import TrajectoryTable, trajectory
 from diffusim.errors import DomainError
 from diffusim.trajectory import format_value
 
@@ -81,3 +81,23 @@ def test_write_csv_uses_unix_newlines(tmp_path):
     lines = raw.decode().strip().split("\n")
     assert lines[0] == "time,S_1,S_2,A_1,A_2,D_1,D_2"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("rows_at_once", [3, 256])
+@pytest.mark.parametrize("with_spread", [False, True])
+def test_csv_rows_have_the_bytes_of_one_numpy_scalar_at_a_time(with_spread, rows_at_once, monkeypatch):
+    # the rows are formatted from Python floats, a few rows at a time; they must
+    # read as the numpy float64 scalars did, -0.0, subnormals and 17-digit values included
+    monkeypatch.setattr(trajectory, "_CSV_ROWS", rows_at_once)
+    odd = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1 + 0.2, 1.0 / 3.0, 2.0**53 + 2, 1.7976931348623157e308]
+    rng = np.random.default_rng(5)
+    cells = np.abs(rng.standard_normal((8, 12))) * 10.0 ** rng.integers(-12, 12, (8, 12))
+    cells[np.arange(8), np.arange(8)] = odd
+    cells[3] = -0.0
+    times = np.array(odd[:6] + [2.0, 1e16 + 2])
+    blocks = np.split(cells, 6, axis=1)
+    table = TrajectoryTable(times, *blocks[:3], *(blocks[3:] if with_spread else ()))
+    columns = [table.times[:, None], table.s, table.a, table.dd] + (blocks[3:] if with_spread else [])
+    want = [",".join(format_value(v) for block in columns for v in block[r]) for r in range(8)]
+    assert list(table.csv_rows()) == want
+    assert want[3].startswith("1e-300,-0,-0,") and want[1].startswith("4.94065646e-324,")
